@@ -66,7 +66,6 @@ fn campaign_matrix(c: &mut Criterion) {
                     &suite,
                     &EngineOptions {
                         jobs: Some(jobs),
-                        shards: 0,
                         cache: None,
                         sanitize: false,
                         measure: false,
@@ -85,7 +84,6 @@ fn campaign_matrix(c: &mut Criterion) {
         &suite,
         &EngineOptions {
             jobs: Some(many),
-            shards: 0,
             cache: Some(&scratch.cache),
             sanitize: false,
             measure: false,
@@ -101,7 +99,6 @@ fn campaign_matrix(c: &mut Criterion) {
                     &suite,
                     &EngineOptions {
                         jobs: Some(jobs),
-                        shards: 0,
                         cache: Some(&scratch.cache),
                         sanitize: false,
                         measure: false,

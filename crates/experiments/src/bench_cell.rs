@@ -32,9 +32,9 @@ use dozznoc_topology::Topology;
 use dozznoc_traffic::Trace;
 
 /// Version of the JSON object this command prints. The xtask harness
-/// refuses to ingest any other version. v2 added the `shards` field
-/// (spatial shards per engine run; 1 = sequential engine).
-pub const BENCH_CELL_SCHEMA: u64 = 2;
+/// refuses to ingest any other version. v3 has v1's fields; v2 carried
+/// an extra engine-config field that is gone.
+pub const BENCH_CELL_SCHEMA: u64 = 3;
 
 /// Paper-agnostic spec mix every bench cell runs: the no-ML baseline,
 /// the gating-heavy policy and the full ML+DVFS policy, so the yardstick
@@ -45,7 +45,6 @@ struct Args {
     regime: Regime,
     topo_name: String,
     jobs: NonZeroUsize,
-    shards: usize,
     duration_ns: u64,
     seed: u64,
     traces: usize,
@@ -59,8 +58,7 @@ pub fn run(raw: &[String]) {
         eprintln!("bench-cell: {e}");
         eprintln!(
             "usage: dozz-repro bench-cell --regime <light|saturation|pathological-hotspot> \
-             --topo <mesh8x8|cmesh4x4> --jobs N [--shards N] [--duration-ns D] [--seed S] \
-             [--traces K]"
+             --topo <mesh8x8|cmesh4x4> --jobs N [--duration-ns D] [--seed S] [--traces K]"
         );
         std::process::exit(2);
     });
@@ -79,8 +77,8 @@ pub fn run(raw: &[String]) {
         .collect();
     let packets: usize = traces.iter().map(Trace::len).sum();
     eprintln!(
-        "bench-cell: {} × {} × jobs={} × shards={} — {} traces, {packets} packets",
-        args.regime, args.topo_name, args.jobs, args.shards, args.traces
+        "bench-cell: {} × {} × jobs={} — {} traces, {packets} packets",
+        args.regime, args.topo_name, args.jobs, args.traces
     );
     let suite = ModelSuite::train(
         &Trainer::new(topo).with_duration_ns(2_000),
@@ -90,7 +88,6 @@ pub fn run(raw: &[String]) {
     let campaign = Campaign::new(topo);
     let opts = EngineOptions {
         jobs: Some(args.jobs),
-        shards: args.shards,
         cache: None, // the yardstick always simulates
         sanitize: false,
         measure: true,
@@ -133,7 +130,6 @@ fn render(args: &Args, runs: &[PolicyCellRun], wall_ns: u64, cpu_ns: u64, max_rs
         "regime": args.regime.name(),
         "topology": args.topo_name.as_str(),
         "jobs": args.jobs.get() as u64,
-        "shards": args.shards.max(1) as u64,
         "traces": args.traces as u64,
         "duration_ns": args.duration_ns,
         "seed": args.seed,
@@ -154,7 +150,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     let mut regime = None;
     let mut topo_name = None;
     let mut jobs = NonZeroUsize::MIN;
-    let mut shards = 0;
     let mut duration_ns = 8_000;
     let mut seed = 0;
     let mut traces = 6;
@@ -173,12 +168,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
                 jobs = value("--jobs")?
                     .parse()
                     .map_err(|_| "--jobs needs a positive integer".to_string())?;
-            }
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse::<NonZeroUsize>()
-                    .map_err(|_| "--shards needs a positive integer".to_string())?
-                    .get();
             }
             "--duration-ns" => {
                 duration_ns = value("--duration-ns")?
@@ -205,7 +194,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         regime: regime.ok_or("--regime is required")?,
         topo_name: topo_name.ok_or("--topo is required")?,
         jobs,
-        shards,
         duration_ns,
         seed,
         traces,

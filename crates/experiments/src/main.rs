@@ -1,7 +1,7 @@
 //! `dozz-repro` — regenerate every table and figure of the DozzNoC paper.
 //!
 //! ```text
-//! dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--shards N] [--no-cache]
+//! dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--no-cache]
 //!
 //! commands:
 //!   table1            LDO dropout ranges (Table I)
@@ -37,10 +37,6 @@
 //! available core, or the `DOZZ_JOBS` env var) and replay previously
 //! simulated cells from the content-addressed run cache under
 //! `<out>/.runcache/`; `--no-cache` forces every cell to simulate.
-//! `--shards N` (or `DOZZ_SHARDS`) splits each simulated cell across N
-//! spatially-sharded worker threads — bit-identical results, so use it
-//! to speed up lone saturation runs rather than wide matrices (the two
-//! knobs multiply).
 //! Results print as paper-style rows and are also written as CSV under
 //! `--out` (default `results/`).
 
@@ -141,11 +137,11 @@ fn main() {
 const HELP: &str = "\
 dozz-repro — regenerate the DozzNoC paper's tables and figures
 
-usage: dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--shards N] [--no-cache]
+usage: dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--no-cache]
        dozz-repro timeline [--bench NAME] [--model NAME] [flags above]
        dozz-repro tournament [flags above]
        dozz-repro check [--bench NAME] [flags above]
-       dozz-repro bench-cell --regime R --topo T --jobs N [--shards N] [--duration-ns D] [--seed S] [--traces K]
+       dozz-repro bench-cell --regime R --topo T --jobs N [--duration-ns D] [--seed S] [--traces K]
 
 --model accepts any registered policy: paper slugs and aliases plus
 plug-in specs like `rl-buffer?epsilon=0.2&seed=9`; `tournament` ranks
@@ -153,9 +149,7 @@ all of them (energy, latency, throughput, EDP, per-benchmark wins).
 
 campaign matrices run on --jobs N workers (default: all cores, or the
 DOZZ_JOBS env var) with a content-addressed run cache under
-<out>/.runcache/; --no-cache forces every cell to simulate. --shards N
-(or DOZZ_SHARDS) splits each cell across N spatially-sharded workers —
-bit-identical results, purely a wall-clock knob.
+<out>/.runcache/; --no-cache forces every cell to simulate.
 
 commands: table1 table2 table3 table4 table5 fig5 fig6 fig7 fig8 fig9
           headline sweep-epoch overhead ablation-features ablation-gating

@@ -150,18 +150,3 @@ fn run(name: &str, cfg: &Config, replay_trace: Option<&str>, body: &(dyn Fn() + 
     rt_api::uninstall();
     outcome
 }
-
-/// `catch_unwind` replacement for model-aware harness code: re-throws
-/// [`rt_api::AbortExecution`] (which must unwind the whole thread) and
-/// converts any other payload to its message.
-pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(p) => {
-            if p.downcast_ref::<rt_api::AbortExecution>().is_some() {
-                std::panic::resume_unwind(p);
-            }
-            Err(rt_api::panic_message(&*p))
-        }
-    }
-}

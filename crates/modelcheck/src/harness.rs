@@ -1,7 +1,6 @@
 //! The real-tree harness registry: small closed-world concurrency
-//! scenarios over the *actual* migrated surfaces (`noc::shard`'s
-//! barrier, `core::schedule`'s work-stealing cursor, the cache's
-//! tmp-file publish protocol).
+//! scenarios over the *actual* migrated surfaces (`core::schedule`'s
+//! work-stealing cursor, the cache's tmp-file publish protocol).
 //!
 //! Each body is a pure function of the facade decisions the runtime
 //! makes — no ambient time, randomness or I/O — so the checker can
@@ -13,9 +12,7 @@ use dozz_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use dozz_sync::Mutex;
 
 use dozznoc_core::schedule::{run_indexed, Injector};
-use dozznoc_noc::shard::{PoisonOnPanic, SpinBarrier};
 
-use crate::catch_panic;
 use crate::race::RaceCell;
 
 /// One registered model-check scenario.
@@ -26,10 +23,10 @@ pub struct Harness {
     pub about: &'static str,
     /// The scenario; explored under the model, looped under TSan.
     pub body: fn(),
-    /// Preemption bound for exploration. The seeded defects this suite
-    /// is calibrated against (PR-8's torn tmp file, the barrier
-    /// generation off-by-one) each need a single preemption; 2 gives
-    /// one-preemption-pair coverage while keeping exhaustion cheap.
+    /// Preemption bound for exploration. The seeded defect this suite
+    /// is calibrated against (the torn tmp file of an unsalted cache
+    /// publish) needs a single preemption; 2 gives one-preemption-pair
+    /// coverage while keeping exhaustion cheap.
     pub preemption_bound: Option<usize>,
     /// Execution cap (a backstop — exhaustion is expected well below).
     pub max_executions: u64,
@@ -52,25 +49,6 @@ fn harness(name: &'static str, about: &'static str, body: fn()) -> Harness {
 pub fn harnesses() -> Vec<Harness> {
     vec![
         harness(
-            "barrier_rendezvous",
-            "SpinBarrier generation protocol: two rendezvous back-to-back \
-             publish pre-barrier writes across the seam (count reset must \
-             not lose a re-entering arrival)",
-            barrier_rendezvous,
-        ),
-        harness(
-            "barrier_poison",
-            "SpinBarrier poisoning: a worker dying mid-window unwinds every \
-             waiter out of its spin instead of hanging the rendezvous",
-            barrier_poison,
-        ),
-        harness(
-            "mailbox_order",
-            "shard mailbox drain: messages posted under the mutex in any \
-             arrival order settle in key order after the join",
-            mailbox_order,
-        ),
-        harness(
             "cursor_unique",
             "work-stealing cursor: every task index is claimed exactly once \
              and lands in its own slot, for any steal interleaving",
@@ -84,74 +62,6 @@ pub fn harnesses() -> Vec<Harness> {
             cache_publish,
         ),
     ]
-}
-
-/// Two threads, two generations, with a `RaceCell` handoff across each
-/// rendezvous: if the barrier's orderings (or its count-reset /
-/// generation-release sequence) are wrong, the handoff is a data race,
-/// a lost arrival is a lost wakeup, and a wrong generation observation
-/// fails the asserts.
-fn barrier_rendezvous() {
-    let bar = SpinBarrier::new(2, 0);
-    let a = RaceCell::new("gen1-payload", 0u64);
-    let b = RaceCell::new("gen2-payload", 0u64);
-    dozz_sync::thread::scope(|s| {
-        let peer = s.spawn(|| {
-            a.set(1);
-            bar.wait(); // generation 1: `a` is published
-            bar.wait(); // generation 2: `b` is published
-            assert_eq!(b.get(), 2, "generation-2 payload");
-        });
-        bar.wait();
-        assert_eq!(a.get(), 1, "generation-1 payload");
-        b.set(2);
-        bar.wait();
-        peer.join().expect("peer survives the rendezvous");
-    });
-}
-
-/// One worker dies before arriving; its drop guard must poison the
-/// barrier so the surviving waiter panics out of its spin (in every
-/// arrival order) instead of yielding forever.
-fn barrier_poison() {
-    let bar = SpinBarrier::new(2, 0);
-    dozz_sync::thread::scope(|s| {
-        let survivor = s.spawn(|| {
-            let err = catch_panic(|| bar.wait()).expect_err("the rendezvous is dead");
-            assert!(err.contains("poisoned"), "waiter saw: {err}");
-        });
-        let err = catch_panic(|| {
-            let _guard = PoisonOnPanic::new(&bar);
-            panic!("worker died mid-window");
-        })
-        .expect_err("the worker panic propagates");
-        assert!(err.contains("died mid-window"));
-        survivor.join().expect("survivor exits cleanly");
-    });
-}
-
-/// Two producers interleave pushes into one seam mailbox; the consumer
-/// drains after the join and restores settlement order by key — the
-/// sharded engine's bit-identity argument in miniature.
-fn mailbox_order() {
-    let mail: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    dozz_sync::thread::scope(|s| {
-        let even = s.spawn(|| {
-            for key in [0u64, 2] {
-                mail.lock().expect("mailbox poisoned").push(key);
-            }
-        });
-        let odd = s.spawn(|| {
-            for key in [1u64, 3] {
-                mail.lock().expect("mailbox poisoned").push(key);
-            }
-        });
-        even.join().expect("even producer");
-        odd.join().expect("odd producer");
-    });
-    let mut inbound = std::mem::take(&mut *mail.lock().expect("mailbox poisoned"));
-    inbound.sort_unstable();
-    assert_eq!(inbound, vec![0, 1, 2, 3], "settlement order is total");
 }
 
 /// The real work-stealing scheduler on 2 workers × 3 tasks: every index

@@ -6,7 +6,7 @@
 //! operations to the [`runtime`] installed here, and the [`explore`]
 //! driver enumerates thread interleavings (and `Relaxed`-load values)
 //! with a stateless DFS over a replayable decision stack. Findings —
-//! deadlocks, lost wakeups, torn `RaceCell` accesses, escaped panics —
+//! deadlocks, torn `RaceCell` accesses, escaped panics —
 //! carry a trace string that reproduces the failing execution
 //! byte-for-byte.
 //!
@@ -15,7 +15,7 @@
 //! compile; the harness bodies then run on real threads, which is what
 //! the nightly ThreadSanitizer job stresses.
 //!
-//! See DESIGN.md §13 for the model, its guarantees, and its bounds.
+//! See DESIGN.md §12 for the model, its guarantees, and its bounds.
 
 pub mod harness;
 pub mod race;
@@ -31,22 +31,6 @@ mod explore;
 mod runtime;
 
 #[cfg(dozz_model)]
-pub use explore::{catch_panic, explore, replay, Config};
+pub use explore::{explore, replay, Config};
 pub use race::RaceCell;
 pub use report::{finding_seed, Finding, FindingKind, Outcome, Report, SCHEMA_VERSION};
-
-/// `catch_unwind`-with-message for std builds (no abort payloads to
-/// re-throw outside the model).
-#[cfg(not(dozz_model))]
-pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(p) => Err(if let Some(s) = p.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }),
-    }
-}

@@ -1,5 +1,6 @@
 //! Findings, per-harness outcomes and the frozen `MODEL_CHECK.json`
-//! report schema (v1).
+//! report schema (v2: v1 had a lost-wakeup finding kind, gone with
+//! the spin-yield primitives that could produce it).
 //!
 //! The report is a machine-readable artifact uploaded by CI; its shape
 //! is frozen the same way `core::model::Report` is: additive changes
@@ -8,16 +9,13 @@
 use serde::{Deserialize, Serialize};
 
 /// Schema version of [`Report`]. Bump on any non-additive change.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// What kind of concurrency defect a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FindingKind {
     /// A thread is blocked (mutex/join) and nothing can run.
     Deadlock,
-    /// Every live thread is spin-yielding with no writer left: the
-    /// wakeup that would release them was lost.
-    LostWakeup,
     /// A `RaceCell` access pair with no happens-before edge: a torn
     /// read or write on non-atomic shared state.
     DataRace,
@@ -112,18 +110,18 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let report = Report::new(vec![Outcome {
-            harness: "barrier_rendezvous".to_string(),
+            harness: "cache_publish".to_string(),
             executions: 12,
             steps: 340,
             truncated: 0,
             exhausted: true,
             preemption_bound: Some(3),
             findings: vec![Finding {
-                harness: "barrier_rendezvous".to_string(),
+                harness: "cache_publish".to_string(),
                 kind: FindingKind::Deadlock,
                 message: "no schedulable thread".to_string(),
                 trace: "0.1.2".to_string(),
-                seed: finding_seed("barrier_rendezvous", "0.1.2"),
+                seed: finding_seed("cache_publish", "0.1.2"),
                 schedule: vec!["t0 spawn t1".to_string()],
             }],
         }]);

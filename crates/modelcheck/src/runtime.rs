@@ -5,7 +5,7 @@
 //! so an execution is a deterministic sequence of operations chosen by
 //! the [`Decisions`] stack. The runtime implements
 //! [`dozz_sync::rt_api::ModelRt`]; the facades forward every mutex,
-//! atomic, thread and yield touchpoint here.
+//! atomic and thread touchpoint here.
 //!
 //! ## Memory model: sequentially-consistent-plus
 //!
@@ -26,17 +26,14 @@
 //! This over-approximates real `Acquire` (which may also read stale
 //! values) — the model explores a *subset* of C++11 behaviors that
 //! strictly contains all sequentially consistent ones plus relaxed
-//! staleness. DESIGN.md §13 spells out the guarantee.
+//! staleness. DESIGN.md §12 spells out the guarantee.
 //!
 //! ## Liveness and findings
 //!
-//! `yield_now`/`spin_loop` mark the caller *yielded*: not schedulable
-//! until another thread completes an operation. All non-finished
-//! threads yielded ⇒ lost wakeup / livelock; any thread blocked with
-//! nothing schedulable ⇒ deadlock. Escaped panics are assertion
-//! findings. Any finding aborts the execution: every thread is woken
-//! and unwound with [`AbortExecution`], which the facade thread
-//! wrappers swallow.
+//! A thread blocked (on a mutex or a join) with nothing schedulable ⇒
+//! deadlock. Escaped panics are assertion findings. Any finding aborts
+//! the execution: every thread is woken and unwound with
+//! [`AbortExecution`], which the facade thread wrappers swallow.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -60,7 +57,6 @@ const MAX_SCHEDULE_LOG: usize = 1000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     Ready,
-    Yielded,
     Blocked(Block),
     Finished,
 }
@@ -78,10 +74,6 @@ struct Thread {
     /// Per-object index of the newest store this thread has read or
     /// written (read coherence: loads never go backwards).
     last_seen: HashMap<usize, usize>,
-    /// [`Exec::store_seq`] at this thread's last yield (or staleness
-    /// wake-up); a yielded thread is re-enabled only if a store has
-    /// landed since (see [`Exec::wake_stale_yielders`]).
-    stale_mark: usize,
 }
 
 impl Thread {
@@ -90,7 +82,6 @@ impl Thread {
             status: Status::Ready,
             clock,
             last_seen: HashMap::new(),
-            stale_mark: 0,
         }
     }
 }
@@ -151,14 +142,15 @@ struct Exec {
     threads: Vec<Thread>,
     cur: usize,
     objects: HashMap<usize, Obj>,
+    /// Schedule-log names of the objects touched so far (see
+    /// [`Exec::obj_name`]).
+    names: HashMap<usize, usize>,
+    next_name: usize,
     decisions: Decisions,
     steps: usize,
     max_steps: usize,
     preemption_bound: Option<usize>,
     preemptions: usize,
-    /// Count of atomic stores this execution (initial registrations
-    /// excluded) — the staleness ratchet for yielded spin-waiters.
-    store_seq: usize,
     finding: Option<(FindingKind, String)>,
     schedule: Vec<String>,
 }
@@ -173,12 +165,13 @@ impl Exec {
             threads: Vec::new(),
             cur: 0,
             objects: HashMap::new(),
+            names: HashMap::new(),
+            next_name: 0,
             decisions: Decisions::explore(),
             steps: 0,
             max_steps: 0,
             preemption_bound: None,
             preemptions: 0,
-            store_seq: 0,
             finding: None,
             schedule: Vec::new(),
         }
@@ -200,27 +193,18 @@ impl Exec {
         }
     }
 
-    /// A yielded thread parks "until new state is published". Invoked
-    /// after every completed operation and again at every would-be
-    /// stall, it re-enables each yielded thread whose park predates the
-    /// current store count. The ratchet (`stale_mark`) makes this
-    /// finite: a thread re-parking with no intervening store stays
-    /// parked, so two spin-waiters cannot keep each other alive (their
-    /// loads publish nothing) and genuine lost wakeups still stall,
-    /// while a store landing while a waiter is parked — even one
-    /// immediately followed by the writer blocking in `join` — always
-    /// re-runs the waiter's condition.
-    fn wake_stale_yielders(&mut self) -> bool {
-        let seq = self.store_seq;
-        let mut woke = false;
-        for t in self.threads.iter_mut() {
-            if t.status == Status::Yielded && t.stale_mark < seq {
-                t.stale_mark = seq;
-                t.status = Status::Ready;
-                woke = true;
-            }
+    /// The schedule-log name of object `id`: its first-touch ordinal in
+    /// this execution. Addresses cannot be used — each execution runs
+    /// on fresh OS threads, so an object's address differs between an
+    /// exploration and its replay, and a finding's schedule must
+    /// replay byte-for-byte.
+    fn obj_name(&mut self, id: usize) -> String {
+        let next = self.next_name;
+        let n = *self.names.entry(id).or_insert(next);
+        if n == next {
+            self.next_name += 1;
         }
-        woke
+        format!("#{n}")
     }
 
     fn record_finding(&mut self, kind: FindingKind, msg: String) {
@@ -229,40 +213,25 @@ impl Exec {
         }
     }
 
-    /// No runnable thread: classify the stall. Any blocked thread makes
-    /// it a deadlock; all-yielded is a lost wakeup / livelock.
+    /// No runnable thread while some are unfinished: every live thread
+    /// is blocked, so the stall is a deadlock.
     fn stall_finding(&mut self) {
         let mut blocked = Vec::new();
-        let mut yielded = 0usize;
-        for (t, th) in self.threads.iter().enumerate() {
-            match th.status {
-                Status::Blocked(b) => blocked.push(match b {
-                    Block::Mutex(id) => format!("t{t} on mutex {}", short_id(id)),
-                    Block::Join(j) => format!("t{t} joining t{j}"),
-                }),
-                Status::Yielded => yielded += 1,
+        for t in 0..self.threads.len() {
+            match self.threads[t].status {
+                Status::Blocked(Block::Mutex(id)) => {
+                    let name = self.obj_name(id);
+                    blocked.push(format!("t{t} on mutex {name}"));
+                }
+                Status::Blocked(Block::Join(j)) => blocked.push(format!("t{t} joining t{j}")),
                 _ => {}
             }
         }
-        if blocked.is_empty() {
-            self.record_finding(
-                FindingKind::LostWakeup,
-                format!(
-                    "all {yielded} live thread(s) are spin-yielding with no writer left to \
-                     wake them (lost wakeup / livelock)"
-                ),
-            );
-        } else {
-            self.record_finding(
-                FindingKind::Deadlock,
-                format!("no schedulable thread: {}", blocked.join(", ")),
-            );
-        }
+        self.record_finding(
+            FindingKind::Deadlock,
+            format!("no schedulable thread: {}", blocked.join(", ")),
+        );
     }
-}
-
-fn short_id(id: usize) -> String {
-    format!("#{:x}", id & 0xffff)
 }
 
 fn acquires(o: Ordering) -> bool {
@@ -312,12 +281,13 @@ impl Runtime {
             threads: vec![Thread::fresh(VClock::new())],
             cur: 0,
             objects: HashMap::new(),
+            names: HashMap::new(),
+            next_name: 0,
             decisions,
             steps: 0,
             max_steps,
             preemption_bound,
             preemptions: 0,
-            store_seq: 0,
             finding: None,
             schedule: Vec::new(),
         };
@@ -428,7 +398,7 @@ impl Runtime {
     fn op_entry<'a>(
         &'a self,
         me: usize,
-        label: &dyn Fn() -> String,
+        label: &dyn Fn(&mut Exec) -> String,
     ) -> Option<MutexGuard<'a, Exec>> {
         let mut g = lock_state(&self.state);
         if !g.active {
@@ -457,18 +427,9 @@ impl Runtime {
             g
         };
         g.threads[me].clock.tick(me);
-        let entry = format!("t{me} {}", label());
+        let entry = format!("t{me} {}", label(&mut g));
         g.log(entry);
         Some(g)
-    }
-
-    /// Exit of every completed operation: newly *published* state
-    /// (stores landed since a waiter's yield) re-enables yielded
-    /// threads. A plain load publishes nothing, so two spin-waiters
-    /// cannot keep each other alive forever — a genuine hang reaches
-    /// the stall classifier instead of burning the step budget.
-    fn op_exit(&self, g: &mut Exec) {
-        g.wake_stale_yielders();
     }
 
     /// Block `me` on `on`, hand the token to someone else, and return
@@ -480,10 +441,7 @@ impl Runtime {
         on: Block,
     ) -> Option<MutexGuard<'a, Exec>> {
         g.threads[me].status = Status::Blocked(on);
-        let mut cand = Self::candidates(&g, me);
-        if cand.is_empty() && g.wake_stale_yielders() {
-            cand = Self::candidates(&g, me);
-        }
+        let cand = Self::candidates(&g, me);
         if cand.is_empty() {
             g.stall_finding();
             self.abort_exec(&mut g);
@@ -496,7 +454,7 @@ impl Runtime {
         self.wait_for_token(g, me)
     }
 
-    fn atomic_obj<'g>(g: &'g mut Exec, id: usize, init: u64) -> &'g mut AtomicObj {
+    fn atomic_obj(g: &mut Exec, id: usize, init: u64) -> &mut AtomicObj {
         let obj = g.objects.entry(id).or_insert_with(|| {
             Obj::Atomic(AtomicObj {
                 stores: vec![StoreEv {
@@ -509,7 +467,7 @@ impl Runtime {
         });
         match obj {
             Obj::Atomic(a) => a,
-            other => panic!("object {} is not an atomic: {other:?}", short_id(id)),
+            other => panic!("object {id:#x} is not an atomic: {other:?}"),
         }
     }
 
@@ -536,7 +494,8 @@ impl Runtime {
 impl ModelRt for Runtime {
     fn atomic_load(&self, id: usize, init: u64, order: Ordering) -> u64 {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("load {} {order:?}", short_id(id))) else {
+        let Some(mut g) = self.op_entry(me, &|g| format!("load {} {order:?}", g.obj_name(id)))
+        else {
             return init;
         };
         Self::atomic_obj(&mut g, id, init);
@@ -568,13 +527,13 @@ impl ModelRt for Runtime {
         }
         let seen = g.threads[me].last_seen.entry(id).or_insert(0);
         *seen = (*seen).max(idx);
-        self.op_exit(&mut g);
         val
     }
 
     fn atomic_store(&self, id: usize, init: u64, val: u64, order: Ordering) {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("store {} {order:?}", short_id(id))) else {
+        let Some(mut g) = self.op_entry(me, &|g| format!("store {} {order:?}", g.obj_name(id)))
+        else {
             return;
         };
         let epoch = g.threads[me].clock.get(me);
@@ -588,13 +547,12 @@ impl ModelRt for Runtime {
         });
         let idx = a.stores.len() - 1;
         g.threads[me].last_seen.insert(id, idx);
-        g.store_seq += 1;
-        self.op_exit(&mut g);
     }
 
     fn atomic_rmw(&self, id: usize, init: u64, op: Rmw, arg: u64, order: Ordering) -> u64 {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("rmw {op:?} {} {order:?}", short_id(id)))
+        let Some(mut g) =
+            self.op_entry(me, &|g| format!("rmw {op:?} {} {order:?}", g.obj_name(id)))
         else {
             return init;
         };
@@ -625,8 +583,6 @@ impl ModelRt for Runtime {
         });
         let idx = a.stores.len() - 1;
         g.threads[me].last_seen.insert(id, idx);
-        g.store_seq += 1;
-        self.op_exit(&mut g);
         old
     }
 
@@ -640,7 +596,7 @@ impl ModelRt for Runtime {
         failure: Ordering,
     ) -> Result<u64, u64> {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("cas {} ", short_id(id))) else {
+        let Some(mut g) = self.op_entry(me, &|g| format!("cas {} ", g.obj_name(id))) else {
             return Err(init);
         };
         let a = Self::atomic_obj(&mut g, id, init);
@@ -668,12 +624,10 @@ impl ModelRt for Runtime {
             });
             let idx = a.stores.len() - 1;
             g.threads[me].last_seen.insert(id, idx);
-            g.store_seq += 1;
         } else {
             let seen = g.threads[me].last_seen.entry(id).or_insert(0);
             *seen = (*seen).max(idx);
         }
-        self.op_exit(&mut g);
         if hit {
             Ok(old)
         } else {
@@ -683,7 +637,7 @@ impl ModelRt for Runtime {
 
     fn mutex_lock(&self, id: usize) {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("lock {}", short_id(id))) else {
+        let Some(mut g) = self.op_entry(me, &|g| format!("lock {}", g.obj_name(id))) else {
             return;
         };
         loop {
@@ -693,14 +647,13 @@ impl ModelRt for Runtime {
                 .or_insert_with(|| Obj::Mutex(MutexObj::default()))
             {
                 Obj::Mutex(m) => m,
-                other => panic!("object {} is not a mutex: {other:?}", short_id(id)),
+                other => panic!("object {id:#x} is not a mutex: {other:?}"),
             };
             match m.holder {
                 None => {
                     m.holder = Some(me);
                     let rel = m.rel.clone();
                     g.threads[me].clock.join(&rel);
-                    self.op_exit(&mut g);
                     return;
                 }
                 Some(_) => {
@@ -724,7 +677,7 @@ impl ModelRt for Runtime {
                 return;
             }
         }
-        let Some(mut g) = self.op_entry(me, &|| format!("unlock {}", short_id(id))) else {
+        let Some(mut g) = self.op_entry(me, &|g| format!("unlock {}", g.obj_name(id))) else {
             return;
         };
         let clock = g.threads[me].clock.clone();
@@ -733,15 +686,11 @@ impl ModelRt for Runtime {
             m.holder = None;
             m.rel.join(&clock);
         }
-        // An unlock publishes the protected state: it counts as a store
-        // for the staleness ratchet.
-        g.store_seq += 1;
         for t in g.threads.iter_mut() {
             if t.status == Status::Blocked(Block::Mutex(id)) {
                 t.status = Status::Ready;
             }
         }
-        self.op_exit(&mut g);
     }
 
     fn forget(&self, id: usize) {
@@ -750,58 +699,12 @@ impl ModelRt for Runtime {
             return;
         }
         g.objects.remove(&id);
-    }
-
-    fn yield_now(&self) {
-        let me = self.me();
-        let mut g = lock_state(&self.state);
-        if !g.active {
-            return;
-        }
-        if g.abort {
-            drop(g);
-            throw_abort();
-            return;
-        }
-        g.steps += 1;
-        if g.steps > g.max_steps {
-            g.truncated = true;
-            self.abort_exec(&mut g);
-            drop(g);
-            throw_abort();
-            return;
-        }
-        g.log(format!("t{me} yield"));
-        // `stale_mark` is deliberately NOT stamped here: other threads
-        // can be scheduled (and store) between this thread's condition
-        // load and its yield, and those stores must still count as new
-        // information. The mark only ratchets at wake-up time.
-        g.threads[me].status = Status::Yielded;
-        let mut cand = Self::candidates(&g, me);
-        if cand.is_empty() && g.wake_stale_yielders() {
-            cand = Self::candidates(&g, me);
-        }
-        if cand.is_empty() {
-            g.stall_finding();
-            self.abort_exec(&mut g);
-            drop(g);
-            throw_abort();
-            return;
-        }
-        if self.pick(&mut g, me, cand).is_none() {
-            drop(g);
-            throw_abort();
-            return;
-        }
-        self.cv.notify_all();
-        let Some(_g) = self.wait_for_token(g, me) else {
-            return;
-        };
+        g.names.remove(&id);
     }
 
     fn prepare_spawn(&self) -> usize {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| "spawn".to_string()) else {
+        let Some(mut g) = self.op_entry(me, &|_| "spawn".to_string()) else {
             // Fallback tid: the execution is being torn down; the child
             // will abort at thread_start.
             return usize::MAX - 1;
@@ -811,7 +714,6 @@ impl ModelRt for Runtime {
         g.threads.push(Thread::fresh(clock));
         let entry = format!("t{me} spawn t{child}");
         g.log(entry);
-        self.op_exit(&mut g);
         child
     }
 
@@ -835,9 +737,6 @@ impl ModelRt for Runtime {
         }
         g.threads[me].status = Status::Finished;
         g.log(format!("t{me} finish"));
-        // Finishing is progress: spin-waiters polling for this thread's
-        // last write (e.g. a poison flag) become schedulable again.
-        self.op_exit(&mut g);
         if let Some(msg) = panic_msg {
             self.fail(
                 &mut g,
@@ -859,10 +758,7 @@ impl ModelRt for Runtime {
             self.cv.notify_all();
             return;
         }
-        let mut cand = Self::candidates(&g, me);
-        if cand.is_empty() && g.wake_stale_yielders() {
-            cand = Self::candidates(&g, me);
-        }
+        let cand = Self::candidates(&g, me);
         if cand.is_empty() {
             g.stall_finding();
             self.abort_exec(&mut g);
@@ -875,18 +771,16 @@ impl ModelRt for Runtime {
 
     fn join(&self, tid: usize) {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("join t{tid}")) else {
+        let Some(mut g) = self.op_entry(me, &|_| format!("join t{tid}")) else {
             return;
         };
         loop {
             if tid >= g.threads.len() {
-                self.op_exit(&mut g);
                 return;
             }
             if g.threads[tid].status == Status::Finished {
                 let clock = g.threads[tid].clock.clone();
                 g.threads[me].clock.join(&clock);
-                self.op_exit(&mut g);
                 return;
             }
             let Some(next) = self.block(g, me, Block::Join(tid)) else {
@@ -911,7 +805,7 @@ impl ModelRt for Runtime {
 
     fn race_read(&self, id: usize, what: &str) {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("read {what}")) else {
+        let Some(mut g) = self.op_entry(me, &|_| format!("read {what}")) else {
             return;
         };
         let clock = g.threads[me].clock.clone();
@@ -922,7 +816,7 @@ impl ModelRt for Runtime {
             .or_insert_with(|| Obj::Cell(CellObj::default()))
         {
             Obj::Cell(c) => c,
-            other => panic!("object {} is not a race cell: {other:?}", short_id(id)),
+            other => panic!("object {id:#x} is not a race cell: {other:?}"),
         };
         if let Some((w, wepoch, wwhat)) = &cell.write {
             if *w != me && !clock.covers(*w, *wepoch) {
@@ -938,12 +832,11 @@ impl ModelRt for Runtime {
         }
         cell.reads.retain(|(r, _, _)| *r != me);
         cell.reads.push((me, epoch, what.to_string()));
-        self.op_exit(&mut g);
     }
 
     fn race_write(&self, id: usize, what: &str) {
         let me = self.me();
-        let Some(mut g) = self.op_entry(me, &|| format!("write {what}")) else {
+        let Some(mut g) = self.op_entry(me, &|_| format!("write {what}")) else {
             return;
         };
         let clock = g.threads[me].clock.clone();
@@ -954,7 +847,7 @@ impl ModelRt for Runtime {
             .or_insert_with(|| Obj::Cell(CellObj::default()))
         {
             Obj::Cell(c) => c,
-            other => panic!("object {} is not a race cell: {other:?}", short_id(id)),
+            other => panic!("object {id:#x} is not a race cell: {other:?}"),
         };
         let mut conflict: Option<String> = None;
         if let Some((w, wepoch, wwhat)) = &cell.write {
@@ -984,7 +877,6 @@ impl ModelRt for Runtime {
         }
         cell.write = Some((me, epoch, what.to_string()));
         cell.reads.clear();
-        self.op_exit(&mut g);
     }
 }
 

@@ -47,13 +47,7 @@ mod model {
         assert_eq!(names, deduped, "duplicate harness names break replay specs");
         assert_eq!(
             names,
-            [
-                "barrier_poison",
-                "barrier_rendezvous",
-                "cache_publish",
-                "cursor_unique",
-                "mailbox_order",
-            ],
+            ["cache_publish", "cursor_unique"],
             "harness names are part of the frozen report/replay surface; \
              additions are fine but update this pin deliberately"
         );

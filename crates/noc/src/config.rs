@@ -35,13 +35,6 @@ pub struct NocConfig {
     /// Hard safety limit on simulated ticks (guards against livelock in
     /// buggy policies; generous: ~20× a typical trace horizon).
     pub max_ticks: u64,
-    /// Link traversal latency in base ticks: a flit handed downstream at
-    /// tick *t* is first visible there at `t + lookahead_ticks`. This is
-    /// also the conservative lookahead the sharded engine's time-window
-    /// barrier is built on — cross-shard traffic emitted inside a window
-    /// cannot take effect before the next one — so it must be ≥ 1 (see
-    /// [`NocConfig::try_with_lookahead_ticks`]).
-    pub lookahead_ticks: u64,
 }
 
 impl NocConfig {
@@ -58,21 +51,7 @@ impl NocConfig {
             routing: DimOrder::Xy,
             wake_punch: true,
             max_ticks: 40_000_000, // ≈ 2.2 ms of simulated time
-            lookahead_ticks: 1,
         }
-    }
-
-    /// Override the link latency (shard-barrier lookahead). Rejects
-    /// zero: a flit must spend at least one base tick on the wire, and
-    /// the sharded engine derives its conservative barrier window from
-    /// this latency.
-    #[must_use = "the updated builder is returned, not applied in place"]
-    pub fn try_with_lookahead_ticks(mut self, lookahead_ticks: u64) -> Result<Self, ConfigError> {
-        if lookahead_ticks == 0 {
-            return Err(ConfigError::ZeroLookahead);
-        }
-        self.lookahead_ticks = lookahead_ticks;
-        Ok(self)
     }
 
     /// Override the epoch size (the §IV-B sweep). Rejects epochs
@@ -155,27 +134,6 @@ mod tests {
             .with_t_idle(8);
         assert_eq!(c.epoch_cycles, 100);
         assert_eq!(c.t_idle, 8);
-    }
-
-    #[test]
-    fn zero_lookahead_rejected() {
-        let err = NocConfig::paper(Topology::mesh8x8())
-            .try_with_lookahead_ticks(0)
-            .expect_err("zero lookahead must be rejected");
-        assert_eq!(err, dozznoc_types::ConfigError::ZeroLookahead);
-        // One tick (the paper default) is the boundary and is fine.
-        let c = NocConfig::paper(Topology::mesh8x8())
-            .try_with_lookahead_ticks(1)
-            .expect("lookahead 1 is valid");
-        assert_eq!(c.lookahead_ticks, 1);
-        // Slower links are allowed.
-        assert_eq!(
-            NocConfig::paper(Topology::mesh8x8())
-                .try_with_lookahead_ticks(4)
-                .expect("lookahead 4 is valid")
-                .lookahead_ticks,
-            4
-        );
     }
 
     #[test]

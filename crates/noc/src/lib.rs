@@ -33,7 +33,6 @@ pub mod observation;
 pub mod policy;
 pub mod router;
 pub mod sanitizer;
-pub mod shard;
 pub mod stats;
 pub mod telemetry;
 
@@ -45,6 +44,5 @@ pub use policy::{AlwaysMode, PowerPolicy};
 pub use sanitizer::{
     InvariantViolation, SanitizerConfig, SanitizerReport, SimSanitizer, ViolationKind,
 };
-pub use shard::run_sharded;
 pub use stats::{RouterSummary, RunReport, RunStats, REPORT_FORMAT_VERSION};
 pub use telemetry::{DecisionTrace, EpochSample, JsonlSink, NullSink, Telemetry, TimelineSink};

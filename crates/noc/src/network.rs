@@ -8,29 +8,8 @@
 //! ticks, one at 2.25 GHz every 8. All flit movement happens inside the
 //! *upstream* router's cycle, which is what makes hop latency follow the
 //! sender's frequency (§III-A). A flit that lands in a downstream buffer
-//! carries `ready_at = tick + lookahead_ticks`, so it can never traverse
-//! two routers within one base tick regardless of router iteration order.
-//!
-//! ## Tick-edge settlement
-//!
-//! Every event tick runs in two phases. During the **fire** phase a
-//! router mutates only *its own* state; anything it does to another
-//! router — handing over a flit, taking or releasing a downstream-secure
-//! reference, punching a wake signal — is emitted as a deferred [`Msg`]
-//! instead of applied in place. Cross-router *reads* (is the downstream
-//! router operational, which of its VCs accept a new packet) go through
-//! per-router snapshots settled at the end of the previous tick. The
-//! **settle** phase then applies all messages in a deterministic key
-//! order — `(phase, source, emission seq)` — and rebuilds the snapshots
-//! of every router that fired or was targeted.
-//!
-//! Because firings touch disjoint state and settlement order is fixed by
-//! the keys (not by who computed what first), the network can be
-//! partitioned into spatial shards that fire concurrently and exchange
-//! messages at a conservative time-window barrier, producing the *same
-//! bits* as this single-threaded loop (see `crate::shard`). The
-//! sequential engine is simply the one-shard instance of the same phased
-//! code.
+//! carries `ready_at = tick + 1`, so it can never traverse two routers
+//! within one base tick regardless of router iteration order.
 //!
 //! ## Power mechanics
 //!
@@ -103,107 +82,6 @@ impl core::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A cross-router side effect deferred to the end-of-tick settlement.
-///
-/// Every mutation of a router other than the one currently firing is
-/// expressed as one of these; the settle phase applies them in [`Msg`]
-/// key order. `Punch` and `Secure` are emitted *unconditionally* (no
-/// "is the target gated?" check at the emitter): the emitter only has a
-/// settled snapshot of its physical neighbors, while punches target
-/// arbitrary routers along a path — filtering on possibly-stale state
-/// would make the outcome depend on who owns the target. The gate check
-/// happens at apply time against the target's live state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Effect {
-    /// Admission-time wake punch along a packet's XY path.
-    Punch {
-        /// Target router index.
-        router: u32,
-    },
-    /// Downstream-secure reference taken at route compute (wakes a
-    /// gated target).
-    Secure {
-        /// Target router index.
-        router: u32,
-    },
-    /// Release of a downstream-secure reference (the tail departed).
-    Unsecure {
-        /// Target router index.
-        router: u32,
-    },
-    /// A flit crossing a link into a downstream router's input VC.
-    Transfer {
-        /// Downstream router index.
-        dst: u32,
-        /// Input-port index at the downstream router.
-        port: u8,
-        /// VC index within that port.
-        vc: u8,
-        /// The flit itself.
-        flit: Flit,
-        /// Earliest tick the flit may move on downstream.
-        ready_at: u64,
-        /// Tick the packet's head entered the network (carried along so
-        /// the ejecting shard can report network latency without owning
-        /// the source router).
-        entered: u64,
-    },
-}
-
-impl Effect {
-    /// The router whose owner must apply this effect.
-    #[inline]
-    pub(crate) fn target(&self) -> u32 {
-        match *self {
-            Effect::Punch { router } | Effect::Secure { router } | Effect::Unsecure { router } => {
-                router
-            }
-            Effect::Transfer { dst, .. } => dst,
-        }
-    }
-}
-
-/// One deferred effect with its deterministic settlement key.
-///
-/// `phase` 0 is admission (keyed by global packet index), phase 1 is
-/// router firing (keyed by source router index); `seq` orders emissions
-/// from the same source within one tick. Sorting a tick's messages by
-/// `(phase, src_key, seq)` reproduces exactly the order the sequential
-/// loop emits them in, which is what makes sharded settlement
-/// bit-identical.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Msg {
-    pub(crate) phase: u8,
-    pub(crate) src_key: u64,
-    pub(crate) seq: u32,
-    pub(crate) effect: Effect,
-}
-
-impl Msg {
-    /// The total settlement order.
-    #[inline]
-    pub(crate) fn key(&self) -> (u8, u64, u32) {
-        (self.phase, self.src_key, self.seq)
-    }
-}
-
-/// Settled per-router metadata (state as of the end of the previous
-/// tick), read by *other* routers during the fire phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SnapMeta {
-    /// `state.is_operational()` at settlement.
-    pub(crate) operational: bool,
-    /// T-Switch stall deadline at settlement.
-    pub(crate) stall_until: u64,
-    /// Clock divisor at settlement (downstream pipeline timing).
-    pub(crate) divisor: u64,
-}
-
-/// Snapshot VC flag: the VC can accept a new packet's head.
-pub(crate) const SNAP_ACCEPTS_NEW: u8 = 1 << 0;
-/// Snapshot VC flag: the VC has space for one more flit.
-pub(crate) const SNAP_HAS_SPACE: u8 = 1 << 1;
-
 /// The simulated network.
 ///
 /// Fields the [`SimSanitizer`](crate::sanitizer) cross-checks are
@@ -265,29 +143,6 @@ pub struct Network {
     /// what is printed on an error path, never simulation output, so
     /// it must not perturb run-cache fingerprints.
     dump_on_livelock: bool,
-    /// Deferred cross-router effects emitted during the current tick's
-    /// fire phase, in emission order. The sequential loop emits them
-    /// already sorted by settlement key; the sharded engine merges
-    /// outboxes from several shards and sorts.
-    pub(crate) outbox: Vec<Msg>,
-    /// Per-source emission counter (reset before each admission packet
-    /// and each router firing; the `seq` of the next emitted message).
-    emit_seq: u32,
-    /// Settled per-router metadata, indexed by router.
-    pub(crate) snap_meta: Vec<SnapMeta>,
-    /// Settled per-VC flags ([`SNAP_ACCEPTS_NEW`] | [`SNAP_HAS_SPACE`]),
-    /// flattened `(router · ports + port) · vcs + vc`.
-    pub(crate) snap_vc: Vec<u8>,
-    /// Routers whose snapshot is stale (fired or was a settle target).
-    dirty: Vec<bool>,
-    /// Dense list backing `dirty`.
-    dirty_list: Vec<u32>,
-    /// Router-index range this instance owns. The sequential engine
-    /// owns everything; a shard restricted via [`Network::restrict`]
-    /// fires, admits for, and bills only this range — every other
-    /// router's `Router` struct is untouched dead weight whose *snapshot*
-    /// (installed by the owning shard) is the only thing read.
-    pub(crate) owned: std::ops::Range<usize>,
 }
 
 impl Network {
@@ -297,13 +152,9 @@ impl Network {
             cfg.pipeline_cycles >= 1,
             "pipeline_cycles must be ≥ 1 (use NocConfig::try_with_pipeline_cycles)"
         );
-        assert!(
-            cfg.lookahead_ticks >= 1,
-            "lookahead_ticks must be ≥ 1 (use NocConfig::try_with_lookahead_ticks)"
-        );
         let topo = cfg.topology;
         let n = topo.num_routers();
-        let mut net = Network {
+        Network {
             cfg,
             topo,
             xy: XyRouter::with_order(topo, cfg.routing),
@@ -332,34 +183,7 @@ impl Network {
             sa_cand_len: vec![0; topo.ports_per_router()],
             // xtask-analyze: allow(determinism-taint) — read once at construction, before any simulation state exists; the flag only gates error-path printing, never simulation output
             dump_on_livelock: std::env::var_os("DOZZNOC_DUMP_ON_LIVELOCK").is_some(),
-            outbox: Vec::new(),
-            emit_seq: 0,
-            snap_meta: vec![SnapMeta::default(); n],
-            snap_vc: vec![0; n * topo.ports_per_router() * cfg.vcs_per_port],
-            dirty: vec![false; n],
-            dirty_list: Vec::new(),
-            owned: 0..n,
-        };
-        net.refresh_all_snaps();
-        net
-    }
-
-    /// Restrict this instance to a contiguous shard of routers: only
-    /// `owned` routers are scheduled, admitted for, and billed. The
-    /// foreign remainder of every per-router array stays allocated (so
-    /// global indices keep working) but is only ever written through
-    /// settled messages routed here by the sharded engine — which, for
-    /// a restricted instance, never targets a foreign router.
-    pub(crate) fn restrict(&mut self, owned: std::ops::Range<usize>) {
-        assert!(owned.end <= self.routers.len() && !owned.is_empty());
-        self.sched = (owned.clone()).map(|i| Reverse((0u64, i as u32))).collect();
-        self.owned = owned;
-    }
-
-    /// Size the per-packet entry table (the run loop does this from the
-    /// trace; the sharded engine calls it per shard instance).
-    pub(crate) fn prepare_packets(&mut self, num_packets: usize) {
-        self.net_entry = vec![u64::MAX; num_packets];
+        }
     }
 
     /// The configuration in force.
@@ -462,7 +286,7 @@ impl Network {
             "trace core count does not match the topology"
         );
         let packets = trace.packets();
-        self.prepare_packets(packets.len());
+        self.net_entry = vec![u64::MAX; packets.len()];
         let mut next_pkt = 0usize;
         let ml_overhead = policy.ml_features().map(MlOverhead::for_features);
         self.tel_enabled = tel.is_enabled();
@@ -472,9 +296,65 @@ impl Network {
         }
 
         loop {
-            self.admit(packets, &mut next_pkt);
-            self.fire(policy, ml_overhead.as_ref(), tel);
-            self.settle_local();
+            // Admit packets whose injection time has arrived.
+            while next_pkt < packets.len() && packets[next_pkt].inject_time.ticks() <= self.now {
+                let p = &packets[next_pkt];
+                self.stats.packets_injected += 1;
+                self.in_flight += p.flit_count() as u64;
+                for f in p.flits() {
+                    self.inject[p.src.idx()].push_back(f);
+                }
+                // Power Punch-style wake punching: the packet's XY path
+                // is fully determined at injection, so wake signals race
+                // ahead of it and gated routers charge up while the
+                // packet is still upstream — this is what makes the
+                // gating *partially non-blocking* rather than adding a
+                // full T-Wakeup per hop. (Routers are only *secured*
+                // one hop ahead, at route compute.)
+                if self.cfg.wake_punch {
+                    // `path` borrows the precomputed table, so the walk
+                    // re-indexes per hop instead of holding the slice
+                    // across the mutable wake-up calls.
+                    let hops = self.xy.path(p.src, p.dst).len();
+                    for h in 0..hops {
+                        let hop = self.xy.path(p.src, p.dst)[h].idx();
+                        if self.routers[hop].state.is_inactive() {
+                            self.begin_wakeup(hop);
+                        }
+                    }
+                } else {
+                    // Ablation: only the home router wakes at injection;
+                    // downstream routers wait for the one-hop look-ahead.
+                    let home = self.topo.router_of_core(p.src);
+                    if self.routers[home.idx()].state.is_inactive() {
+                        self.begin_wakeup(home.idx());
+                    }
+                }
+                next_pkt += 1;
+            }
+
+            // Fire every router whose local cycle lands on this tick.
+            // Same-tick entries pop in router-index order; a popped
+            // entry that no longer matches the router's `next_cycle_at`
+            // is stale (the router re-armed, or a wake-up pulled it
+            // earlier) and is dropped. A firing router's re-arm lands
+            // strictly in the future, so this drain terminates.
+            while let Some(&Reverse((t, idx))) = self.sched.peek() {
+                let i = idx as usize;
+                if self.routers[i].next_cycle_at != t {
+                    self.sched.pop();
+                    continue;
+                }
+                if t > self.now {
+                    break;
+                }
+                debug_assert_eq!(t, self.now, "router cycle slipped past the clock");
+                self.sched.pop();
+                self.step_router(i, policy, ml_overhead.as_ref(), tel);
+                let r = &mut self.routers[i];
+                r.next_cycle_at = self.now + r.divisor();
+                self.sched.push(Reverse((r.next_cycle_at, idx)));
+            }
 
             // Deliver the transitions this tick produced (admissions
             // included) in one batch; events carry their own timestamps.
@@ -513,7 +393,14 @@ impl Network {
             // Jump straight to the next event: the earliest live router
             // cycle (draining stale heap tops on the way) or the next
             // packet injection.
-            let mut next = self.local_next_event();
+            let mut next = u64::MAX;
+            while let Some(&Reverse((t, idx))) = self.sched.peek() {
+                if self.routers[idx as usize].next_cycle_at == t {
+                    next = t;
+                    break;
+                }
+                self.sched.pop();
+            }
             if next_pkt < packets.len() {
                 next = next.min(packets[next_pkt].inject_time.ticks());
             }
@@ -522,7 +409,13 @@ impl Network {
         }
 
         // Flush residual residency into the ledger.
-        self.flush_residency();
+        let now = SimTime::from_ticks(self.now);
+        for i in 0..self.routers.len() {
+            let r = &mut self.routers[i];
+            self.ledger
+                .bill_residency(r.id, r.state, now.since(r.state_since));
+            r.state_since = now;
+        }
 
         // Flush each router's final partial epoch to the sink so
         // per-epoch sums (flits, energy) conserve against run totals.
@@ -542,18 +435,6 @@ impl Network {
             }
         }
 
-        let report = self.build_report(policy.name(), &trace.name);
-        if self.tel_enabled {
-            tel.on_run_end(&report);
-        }
-        Ok(report)
-    }
-
-    /// Assemble the final [`RunReport`] from this instance's settled
-    /// accounting. Call only after the run loop has finished and
-    /// residency has been flushed — and, in the sharded engine, after
-    /// every other shard has been [`absorb`](Network::absorb)ed.
-    pub(crate) fn build_report(&self, policy: &str, trace: &str) -> RunReport {
         let per_router = self
             .ledger
             .routers()
@@ -566,277 +447,18 @@ impl Network {
                 wakeups: e.wakeups,
             })
             .collect();
-        RunReport {
-            policy: policy.to_string(),
-            trace: trace.to_string(),
-            finished_at: SimTime::from_ticks(self.now),
-            stats: self.stats.clone(),
+        let report = RunReport {
+            policy: policy.name().to_string(),
+            trace: trace.name.clone(),
+            finished_at: now,
+            stats: self.stats,
             energy: self.ledger.report(),
             per_router,
-        }
-    }
-
-    /// Fold another, disjointly-restricted instance's owned accounting
-    /// into this one — the sharded engine's reduce step. Counters are
-    /// integers and every ledger entry is billed by exactly one owner
-    /// shard (all billing targets the firing router), so each per-entry
-    /// sum here adds a real value to a still-default one and the merged
-    /// ledger is bit-identical to a sequential run's.
-    pub(crate) fn absorb(&mut self, other: &Network) {
-        self.stats.merge(&other.stats);
-        self.ledger.merge(&other.ledger);
-    }
-
-    /// Admit packets whose injection time has arrived.
-    ///
-    /// Every instance walks the *full* packet list so `next_pkt` stays
-    /// globally synchronized across shards; a packet is acted on only by
-    /// the instance owning its source router. Wake punches are emitted
-    /// as deferred messages keyed by global packet index, so their
-    /// settlement order is the global admission order regardless of
-    /// which shard emitted them.
-    pub(crate) fn admit(&mut self, packets: &[dozznoc_types::Packet], next_pkt: &mut usize) {
-        while *next_pkt < packets.len() && packets[*next_pkt].inject_time.ticks() <= self.now {
-            let p = &packets[*next_pkt];
-            let home = self.topo.router_of_core(p.src).idx();
-            if self.owned.contains(&home) {
-                self.stats.packets_injected += 1;
-                self.in_flight += p.flit_count() as u64;
-                for f in p.flits() {
-                    self.inject[p.src.idx()].push_back(f);
-                }
-                // Power Punch-style wake punching: the packet's XY path
-                // is fully determined at injection, so wake signals race
-                // ahead of it and gated routers charge up while the
-                // packet is still upstream — this is what makes the
-                // gating *partially non-blocking* rather than adding a
-                // full T-Wakeup per hop. (Routers are only *secured*
-                // one hop ahead, at route compute.)
-                self.emit_seq = 0;
-                if self.cfg.wake_punch {
-                    // `path` borrows the precomputed table, so the walk
-                    // re-indexes per hop instead of holding the slice
-                    // across the emission calls.
-                    let hops = self.xy.path(p.src, p.dst).len();
-                    for h in 0..hops {
-                        let hop = self.xy.path(p.src, p.dst)[h].idx();
-                        self.emit(0, *next_pkt as u64, Effect::Punch { router: hop as u32 });
-                    }
-                } else {
-                    // Ablation: only the home router wakes at injection;
-                    // downstream routers wait for the one-hop look-ahead.
-                    self.emit(
-                        0,
-                        *next_pkt as u64,
-                        Effect::Punch {
-                            router: home as u32,
-                        },
-                    );
-                }
-            }
-            *next_pkt += 1;
-        }
-    }
-
-    /// Fire every owned router whose local cycle lands on this tick.
-    ///
-    /// Same-tick entries pop in router-index order; a popped entry that
-    /// no longer matches the router's `next_cycle_at` is stale (the
-    /// router re-armed, or a wake-up pulled it earlier) and is dropped.
-    /// A firing router's re-arm lands strictly in the future, so this
-    /// drain terminates.
-    pub(crate) fn fire(
-        &mut self,
-        policy: &mut dyn PowerPolicy,
-        ml_overhead: Option<&MlOverhead>,
-        tel: &mut dyn Telemetry,
-    ) {
-        while let Some(&Reverse((t, idx))) = self.sched.peek() {
-            let i = idx as usize;
-            if self.routers[i].next_cycle_at != t {
-                self.sched.pop();
-                continue;
-            }
-            if t > self.now {
-                break;
-            }
-            debug_assert_eq!(t, self.now, "router cycle slipped past the clock");
-            self.sched.pop();
-            self.emit_seq = 0;
-            self.mark_dirty(idx);
-            self.step_router(i, policy, ml_overhead, tel);
-            let r = &mut self.routers[i];
-            r.next_cycle_at = self.now + r.divisor();
-            self.sched.push(Reverse((r.next_cycle_at, idx)));
-        }
-    }
-
-    /// Append a deferred effect with the next emission sequence number.
-    fn emit(&mut self, phase: u8, src_key: u64, effect: Effect) {
-        let seq = self.emit_seq;
-        self.emit_seq += 1;
-        self.outbox.push(Msg {
-            phase,
-            src_key,
-            seq,
-            effect,
-        });
-    }
-
-    /// Settle this tick entirely from the local outbox (the sequential
-    /// engine's path). Admission emits in ascending packet order and the
-    /// fire drain in ascending router order, so the outbox is already in
-    /// settlement-key order — asserted, never sorted.
-    pub(crate) fn settle_local(&mut self) {
-        debug_assert!(
-            self.outbox.windows(2).all(|w| w[0].key() <= w[1].key()),
-            "sequential outbox must be pre-sorted by settlement key"
-        );
-        let msgs = std::mem::take(&mut self.outbox);
-        for m in &msgs {
-            self.apply_msg(m);
-        }
-        self.outbox = msgs; // keep the allocation for the next tick
-        self.outbox.clear();
-        self.rebuild_dirty_snaps();
-    }
-
-    /// Apply an already-sorted batch of settled messages, then refresh
-    /// the snapshots they (or this tick's firings) staled. The sharded
-    /// engine calls this with the merged inter-shard batch.
-    pub(crate) fn settle_msgs(&mut self, msgs: &[Msg]) {
-        debug_assert!(msgs.windows(2).all(|w| w[0].key() <= w[1].key()));
-        for m in msgs {
-            self.apply_msg(m);
-        }
-        self.rebuild_dirty_snaps();
-    }
-
-    /// Apply one settled message against live state.
-    fn apply_msg(&mut self, m: &Msg) {
-        match m.effect {
-            Effect::Punch { router } => {
-                let r = router as usize;
-                if self.routers[r].state.is_inactive() {
-                    self.begin_wakeup(r);
-                }
-                self.mark_dirty(router);
-            }
-            Effect::Secure { router } => {
-                self.secure(router as usize);
-                self.mark_dirty(router);
-            }
-            // An unsecure flips no snapshotted field, but the dirty mark
-            // keeps the rule simple: every apply target is re-snapped.
-            Effect::Unsecure { router } => {
-                self.unsecure(router as usize);
-                self.mark_dirty(router);
-            }
-            Effect::Transfer {
-                dst,
-                port,
-                vc,
-                flit,
-                ready_at,
-                entered,
-            } => {
-                let d = dst as usize;
-                self.routers[d].ports[port as usize]
-                    .vc_mut(vc as usize)
-                    .push(flit, ready_at);
-                self.routers[d].buffered_flits += 1;
-                self.routers[d].counters.flits_in[port_class(port as usize)] += 1;
-                self.in_flight += 1;
-                self.net_entry[flit.packet.0 as usize] = entered;
-                self.mark_dirty(dst);
-            }
-        }
-    }
-
-    /// Record that router `r`'s snapshot no longer matches live state.
-    fn mark_dirty(&mut self, r: u32) {
-        if !self.dirty[r as usize] {
-            self.dirty[r as usize] = true;
-            self.dirty_list.push(r);
-        }
-    }
-
-    /// Rebuild the snapshot of every dirty router. Only routers that
-    /// fired or were settle targets can have changed, so this is the
-    /// complete set.
-    pub(crate) fn rebuild_dirty_snaps(&mut self) {
-        while let Some(r) = self.dirty_list.pop() {
-            self.dirty[r as usize] = false;
-            self.rebuild_snap(r as usize);
-        }
-    }
-
-    /// Recompute router `r`'s settled snapshot from its live state.
-    pub(crate) fn rebuild_snap(&mut self, r: usize) {
-        let router = &self.routers[r];
-        self.snap_meta[r] = SnapMeta {
-            operational: router.state.is_operational(),
-            stall_until: router.stall_until,
-            divisor: router.divisor(),
         };
-        let n_vcs = self.cfg.vcs_per_port;
-        let n_ports = router.ports.len();
-        let base = r * n_ports * n_vcs;
-        for (p, port) in router.ports.iter().enumerate() {
-            for v in 0..n_vcs {
-                let vcb = port.vc(v);
-                self.snap_vc[base + p * n_vcs + v] = u8::from(vcb.can_accept_new_packet())
-                    * SNAP_ACCEPTS_NEW
-                    + u8::from(vcb.has_space()) * SNAP_HAS_SPACE;
-            }
+        if self.tel_enabled {
+            tel.on_run_end(&report);
         }
-    }
-
-    /// Rebuild every router's snapshot (construction, and tests that
-    /// plant router state by hand).
-    pub(crate) fn refresh_all_snaps(&mut self) {
-        for r in 0..self.routers.len() {
-            self.rebuild_snap(r);
-        }
-    }
-
-    /// Settled view of `free_vc` on a downstream router's input port.
-    fn snap_free_vc(&self, d: usize, port: usize) -> Option<u8> {
-        let n_vcs = self.cfg.vcs_per_port;
-        let base = (d * self.topo.ports_per_router() + port) * n_vcs;
-        (0..n_vcs)
-            .find(|&v| self.snap_vc[base + v] & SNAP_ACCEPTS_NEW != 0)
-            .map(|v| v as u8)
-    }
-
-    /// Settled view of `has_space` on a downstream VC.
-    fn snap_has_space(&self, d: usize, port: usize, vc: usize) -> bool {
-        let n_vcs = self.cfg.vcs_per_port;
-        self.snap_vc[(d * self.topo.ports_per_router() + port) * n_vcs + vc] & SNAP_HAS_SPACE != 0
-    }
-
-    /// Earliest live router-cycle deadline, draining stale heap tops on
-    /// the way. The heap is never empty (heartbeats are perpetual), so
-    /// this is finite.
-    pub(crate) fn local_next_event(&mut self) -> u64 {
-        while let Some(&Reverse((t, idx))) = self.sched.peek() {
-            if self.routers[idx as usize].next_cycle_at == t {
-                return t;
-            }
-            self.sched.pop();
-        }
-        u64::MAX
-    }
-
-    /// Bill the residual residency of every owned router at `now`.
-    pub(crate) fn flush_residency(&mut self) {
-        let now = SimTime::from_ticks(self.now);
-        for i in self.owned.clone() {
-            let r = &mut self.routers[i];
-            self.ledger
-                .bill_residency(r.id, r.state, now.since(r.state_since));
-            r.state_since = now;
-        }
+        Ok(report)
     }
 
     /// One local cycle of router `i`.
@@ -1015,13 +637,7 @@ impl Network {
                     out_vc: None,
                 });
                 if let Some(d) = next_router {
-                    self.emit(
-                        1,
-                        i as u64,
-                        Effect::Secure {
-                            router: d.idx() as u32,
-                        },
-                    );
+                    self.secure(d.idx());
                 }
             }
         }
@@ -1133,16 +749,8 @@ impl Network {
                     .next_router
                     .expect("direction routes have a downstream router")
                     .idx();
-                // Every read of the downstream router goes through its
-                // settled snapshot: identical no matter which shard owns
-                // it or whether it fired earlier this tick. The checks
-                // stay *exact* at apply time because each in-port has a
-                // single upstream sender and each output port grants at
-                // most once per tick — at most one flit lands per
-                // (router, in-port) per settlement, so space seen at the
-                // last settle cannot be stolen in between.
-                let snap = self.snap_meta[d];
-                if !snap.operational || self.now < snap.stall_until {
+                if !self.routers[d].state.is_operational() || self.now < self.routers[d].stall_until
+                {
                     return false;
                 }
                 let down_port = Port::Dir(dir.opposite()).index();
@@ -1154,7 +762,7 @@ impl Network {
                     .is_head();
                 // Pick / reuse the downstream VC.
                 let down_vc = if flit_is_head {
-                    match self.snap_free_vc(d, down_port) {
+                    match self.routers[d].ports[down_port].free_vc() {
                         Some(v) => {
                             self.routers[i].ports[port].vc_mut(vc).set_out_vc(v);
                             v
@@ -1167,23 +775,28 @@ impl Network {
                         None => return false, // head not yet sent
                     }
                 };
-                if !self.snap_has_space(d, down_port, down_vc as usize) {
+                if !self.routers[d].ports[down_port]
+                    .vc(down_vc as usize)
+                    .has_space()
+                {
                     return false;
                 }
-                // Grant: pop here, hand the flit over as a settled
-                // transfer (applied end-of-tick at the downstream
-                // router's owner).
+                // Move the flit.
                 let flit = self.routers[i].ports[port].vc_mut(vc).pop();
                 let mode = match self.routers[i].state {
                     PowerState::Active(m) => m,
                     _ => unreachable!("only active routers allocate"),
                 };
                 let ready = self.now
-                    + self.cfg.lookahead_ticks
+                    + 1
                     + DomainCycles::new(self.cfg.pipeline_cycles - 1)
-                        .to_ticks(snap.divisor)
+                        .to_ticks(self.routers[d].divisor())
                         .ticks();
+                self.routers[d].ports[down_port]
+                    .vc_mut(down_vc as usize)
+                    .push(flit, ready);
                 self.routers[i].buffered_flits -= 1;
+                self.routers[d].buffered_flits += 1;
                 let out_class = port_class(route.out_port.index());
                 {
                     let c = &mut self.routers[i].counters;
@@ -1191,26 +804,10 @@ impl Network {
                     c.class_busy_cycles[out_class] += 1;
                     c.hops += 1;
                 }
+                self.routers[d].counters.flits_in[port_class(down_port)] += 1;
                 self.ledger.bill_hop(self.routers[i].id, mode);
-                // The flit leaves this instance's accounting now and
-                // enters the receiver's at apply (net zero within one
-                // instance; cross-shard it migrates).
-                self.in_flight -= 1;
-                let entered = self.net_entry[flit.packet.0 as usize];
-                self.emit(
-                    1,
-                    i as u64,
-                    Effect::Transfer {
-                        dst: d as u32,
-                        port: down_port as u8,
-                        vc: down_vc,
-                        flit,
-                        ready_at: ready,
-                        entered,
-                    },
-                );
                 if flit.kind.is_tail() {
-                    self.emit(1, i as u64, Effect::Unsecure { router: d as u32 });
+                    self.unsecure(d);
                 }
                 true
             }
@@ -1447,6 +1044,37 @@ mod tests {
     }
 
     #[test]
+    fn opposite_directions_see_equal_latency() {
+        // Routers fire in index order and apply transfers in place, so
+        // a flit pushed into a router that fires later in the same tick
+        // must still wait for `now + 1`: otherwise packets travelling
+        // toward higher router indices (east, south) would outrun their
+        // mirror images travelling west or north.
+        for kind in [PacketKind::Request, PacketKind::Response] {
+            for (a, b) in [(0, 7), (0, 56)] {
+                let fwd = run(
+                    &one_packet_trace(a, b, kind),
+                    &mut AlwaysMode::new(Mode::M7),
+                );
+                let back = run(
+                    &one_packet_trace(b, a, kind),
+                    &mut AlwaysMode::new(Mode::M7),
+                );
+                assert_eq!(fwd.stats.packets_delivered, 1);
+                assert_eq!(back.stats.packets_delivered, 1);
+                assert_eq!(
+                    fwd.stats.latency_max_ticks, back.stats.latency_max_ticks,
+                    "{kind:?} {a}->{b} vs {b}->{a}"
+                );
+                assert_eq!(
+                    fwd.stats.net_latency_max_ticks, back.stats.net_latency_max_ticks,
+                    "{kind:?} {a}->{b} vs {b}->{a} (network latency)"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn lower_mode_is_slower() {
         let t = late_packet_trace(0, 63, PacketKind::Response);
         let fast = run(&t, &mut AlwaysMode::new(Mode::M7));
@@ -1627,7 +1255,6 @@ mod tests {
         let i = 9;
         net.routers[10].state = PowerState::Inactive; // east neighbor
         net.routers[8].state = PowerState::Inactive; // west neighbor
-        net.refresh_all_snaps(); // try_send reads the settled snapshots
         let east = dozznoc_topology::Port::Dir(Direction::East);
         let west = dozznoc_topology::Port::Dir(Direction::West);
         // Local input VC 0 → east; north input VC 0 → west.

@@ -290,11 +290,9 @@ impl SimSanitizer {
             self.watch = vec![FrontWatch::default(); net.routers.len() * n_ports * n_vcs];
         }
 
-        // Worst-case pipeline bound for any buffered flit's ready tick
-        // (link traversal plus the remaining pipeline at the slowest
-        // divisor; NI injection books one tick, ≤ any legal lookahead).
+        // Worst-case pipeline bound for any buffered flit's ready tick.
         let ready_bound = now
-            + net.cfg.lookahead_ticks
+            + 1
             + DomainCycles::new(net.cfg.pipeline_cycles - 1)
                 .to_ticks(MAX_DIVISOR)
                 .ticks();

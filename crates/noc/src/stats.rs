@@ -17,7 +17,7 @@ use crate::histogram::LatencyHistogram;
 /// * an *intentional* behavioral change lands (one that re-blesses the
 ///   `tests/determinism.rs` goldens) — a stale cache entry from the
 ///   previous behavior would otherwise keep masquerading as current.
-pub const REPORT_FORMAT_VERSION: u32 = 2;
+pub const REPORT_FORMAT_VERSION: u32 = 3;
 
 /// Counters accumulated over one run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -62,9 +62,8 @@ impl RunStats {
     /// Every field is a sum, a max, or a mergeable distribution, so the
     /// merge is exact and order-independent: partitioning a run's
     /// deliveries arbitrarily and merging the partial `RunStats` yields
-    /// the whole run's stats bit-for-bit. This is the shard reducer of
-    /// the sharded engine and the aggregation primitive of campaign
-    /// summaries.
+    /// the whole run's stats bit-for-bit. This is the aggregation
+    /// primitive of campaign summaries.
     pub fn merge(&mut self, other: &RunStats) {
         self.packets_injected += other.packets_injected;
         self.packets_delivered += other.packets_delivered;

@@ -1,8 +1,8 @@
 //! Drop-in concurrency facades for the workspace.
 //!
-//! Every concurrency primitive the workspace uses — mutexes, atomics,
-//! scoped threads, yields and spin hints — is imported from this crate
-//! instead of `std`. In a normal build the facades are plain
+//! Every concurrency primitive the workspace uses — mutexes, atomics
+//! and scoped threads — is imported from this crate instead of `std`.
+//! In a normal build the facades are plain
 //! re-exports (zero-cost passthrough, proven bit-identical by the
 //! determinism goldens). Under `--cfg dozz_model` the same API routes
 //! every operation through the [`rt_api::ModelRt`] runtime installed by
@@ -12,22 +12,24 @@
 //! The `sync-facade` pass of `cargo xtask analyze` denies raw
 //! `std::sync`/`std::thread::spawn`/`std::hint::spin_loop` use outside
 //! this crate, so "the model checker sees every primitive" is a
-//! statically enforced invariant, not a convention (DESIGN.md §13).
+//! statically enforced invariant, not a convention (DESIGN.md §12).
 //!
 //! Facade surface:
 //!
 //! * [`Mutex`] / [`MutexGuard`] — mirrors `std::sync::Mutex` (poisoning
 //!   included).
-//! * [`atomic`] — `AtomicUsize`, `AtomicBool`, `AtomicU64` and the
-//!   `Ordering` re-export.
-//! * [`thread`] — `scope`/`spawn`, `yield_now`, plus passthroughs for
-//!   the non-scheduling helpers (`available_parallelism`, `panicking`,
+//! * [`atomic`] — `AtomicUsize`, `AtomicU64` and the `Ordering`
+//!   re-export.
+//! * [`thread`] — `scope`/`spawn`, plus passthroughs for the
+//!   non-scheduling helpers (`available_parallelism`, `panicking`,
 //!   `current`).
-//! * [`hint::spin_loop`] — a scheduling yield under the model (a spin
-//!   that never yields would livelock a deterministic scheduler).
 //! * [`Arc`] / [`OnceLock`] — passthrough in both modes: immutable
 //!   once set, so there is no interleaving to explore; re-exported here
 //!   so callers need no `std::sync` import at all.
+//!
+//! There is deliberately no yield or spin hint: no workspace code
+//! spin-waits, so the model needs no way to park a spinner. Raw
+//! `spin_loop`/`yield_now` calls stay denied by the `sync-facade` pass.
 
 #[cfg(dozz_model)]
 pub mod rt_api;
@@ -45,22 +47,16 @@ pub use std::sync::{Mutex, MutexGuard};
 #[cfg(not(dozz_model))]
 pub mod atomic {
     //! Facade atomics (std passthrough).
-    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 }
 
 #[cfg(not(dozz_model))]
 pub mod thread {
     //! Facade threads (std passthrough).
     pub use std::thread::{
-        available_parallelism, current, panicking, scope, spawn, yield_now, JoinHandle, Scope,
+        available_parallelism, current, panicking, scope, spawn, JoinHandle, Scope,
         ScopedJoinHandle,
     };
-}
-
-#[cfg(not(dozz_model))]
-pub mod hint {
-    //! Facade spin hint (std passthrough).
-    pub use std::hint::spin_loop;
 }
 
 // ---------------------------------------------------------------------
@@ -73,21 +69,15 @@ pub use model::{Mutex, MutexGuard};
 #[cfg(dozz_model)]
 pub mod atomic {
     //! Facade atomics (instrumented).
-    pub use crate::model::{AtomicBool, AtomicU64, AtomicUsize};
+    pub use crate::model::{AtomicU64, AtomicUsize};
     pub use std::sync::atomic::Ordering;
 }
 
 #[cfg(dozz_model)]
 pub mod thread {
     //! Facade threads (instrumented).
-    pub use crate::model::thread::{scope, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle};
+    pub use crate::model::thread::{scope, spawn, JoinHandle, Scope, ScopedJoinHandle};
     pub use std::thread::{available_parallelism, current, panicking};
-}
-
-#[cfg(dozz_model)]
-pub mod hint {
-    //! Facade spin hint (instrumented: a spin is a scheduling yield).
-    pub use crate::model::hint::spin_loop;
 }
 
 // `Arc` and `OnceLock` are passthrough in both modes: `Arc`'s refcount

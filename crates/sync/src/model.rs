@@ -208,13 +208,6 @@ facade_atomic!(
     |v: usize| v as u64,
     |v: u64| v as usize
 );
-facade_atomic!(
-    AtomicBool,
-    std::sync::atomic::AtomicBool,
-    bool,
-    |v: bool| v as u64,
-    |v: u64| v != 0
-);
 
 macro_rules! facade_fetch {
     ($Name:ident, $Raw:ty, $to:expr, $from:expr, $($method:ident => ($op:expr, $fallback:ident)),+ $(,)?) => {
@@ -252,28 +245,10 @@ facade_fetch!(AtomicUsize, usize, |v: usize| v as u64, |v: u64| v as usize,
     fetch_and => (Rmw::And, fetch_and),
     fetch_xor => (Rmw::Xor, fetch_xor),
 );
-facade_fetch!(AtomicBool, bool, |v: bool| v as u64, |v: u64| v != 0,
-    fetch_or => (Rmw::Or, fetch_or),
-    fetch_and => (Rmw::And, fetch_and),
-);
 
 // ---------------------------------------------------------------------
 // Threads
 // ---------------------------------------------------------------------
-
-pub mod hint {
-    //! Instrumented spin hint.
-    use crate::rt_api;
-
-    /// Under the model a spin is a scheduling yield: the spinner is
-    /// not re-enabled until another thread makes progress, which makes
-    /// spin-wait loops finite for the explorer.
-    pub fn spin_loop() {
-        if !rt_api::with_rt(|rt| rt.yield_now()) {
-            std::hint::spin_loop();
-        }
-    }
-}
 
 pub mod thread {
     //! Instrumented scoped/plain threads.
@@ -281,13 +256,6 @@ pub mod thread {
     use std::sync::Mutex as StdMutex;
 
     use crate::rt_api::{self, AbortExecution};
-
-    /// Mirrors `std::thread::yield_now` (a model scheduling yield).
-    pub fn yield_now() {
-        if !rt_api::with_rt(|rt| rt.yield_now()) {
-            std::thread::yield_now();
-        }
-    }
 
     /// Per-scope list of model thread ids spawned into it, keyed by the
     /// std scope's address. A side table (not a field) because

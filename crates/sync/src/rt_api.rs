@@ -23,9 +23,8 @@ use std::sync::{Arc, RwLock};
 
 /// Panic payload the runtime uses to unwind every model thread of an
 /// abandoned execution (after a finding, a deadlock, or a step-budget
-/// truncation). The thread wrappers swallow it; user-level
-/// `catch_unwind` wrappers must re-throw it (see
-/// `dozznoc_modelcheck::catch_panic`).
+/// truncation). The thread wrappers swallow it; any user-level
+/// `catch_unwind` inside a harness must re-throw it.
 pub struct AbortExecution;
 
 /// Read-modify-write flavor of [`ModelRt::atomic_rmw`].
@@ -46,7 +45,7 @@ pub enum Rmw {
 }
 
 /// What the instrumented runtime must provide. All values travel as
-/// `u64` (`AtomicBool` maps to 0/1, `AtomicUsize` widens losslessly);
+/// `u64` (`AtomicUsize` widens losslessly);
 /// `id` is the facade object's address, `init` its construction-time
 /// value for lazy per-execution registration.
 pub trait ModelRt: Send + Sync {
@@ -73,9 +72,6 @@ pub trait ModelRt: Send + Sync {
     fn mutex_unlock(&self, id: usize);
     /// Drop the model state of object `id` (facade `Drop`).
     fn forget(&self, id: usize);
-    /// A scheduling yield: the caller is not re-enabled until another
-    /// thread makes progress (this is what makes spin loops finite).
-    fn yield_now(&self);
     /// Allocate the thread id for a thread about to be spawned.
     fn prepare_spawn(&self) -> usize;
     /// First call on the spawned OS thread: binds it to `tid` and

@@ -45,12 +45,6 @@ pub enum ConfigError {
         /// The rejected pipeline depth.
         pipeline_cycles: u64,
     },
-    /// Link latency (conservative-sharding lookahead) of zero: a flit
-    /// must spend at least one base tick on the wire, and the sharded
-    /// engine's time-window barrier derives its safety window from this
-    /// latency — zero lookahead would let a flit cross two routers in
-    /// one tick and collapses the barrier window to nothing.
-    ZeroLookahead,
 }
 
 impl core::fmt::Display for ConfigError {
@@ -70,11 +64,6 @@ impl core::fmt::Display for ConfigError {
             ConfigError::DegeneratePipeline { pipeline_cycles } => write!(
                 f,
                 "degenerate router pipeline: {pipeline_cycles} cycles (minimum 1)"
-            ),
-            ConfigError::ZeroLookahead => write!(
-                f,
-                "link lookahead must be at least 1 base tick (zero would let a flit \
-                 cross two routers in one tick and breaks the shard barrier window)"
             ),
         }
     }

@@ -4,14 +4,14 @@
 //! point (the lint thread-spawn scan enforces that), so every closure
 //! handed to it crosses a thread boundary. rustc's `Sync` bounds catch
 //! most races at compile time, but two classes of capture survive the
-//! type check and still break the determinism contract ROADMAP item 1
-//! depends on:
+//! type check and still break the jobs-count determinism contract
+//! (`tests/determinism.rs`):
 //!
 //! - interior-mutability state (`RefCell`, `Cell`, `Rc`, `UnsafeCell`,
 //!   raw pointers) reached through an outer `&` — `Sync` wrappers or
-//!   `unsafe impl`s can smuggle these across, and future shard spawn
-//!   points may take `dyn`-erased tasks where rustc sees nothing;
-//! - `&mut` parameters captured by reference, which a sharded engine
+//!   `unsafe impl`s can smuggle these across, and a spawn point that
+//!   takes `dyn`-erased tasks leaves rustc seeing nothing;
+//! - `&mut` parameters captured by reference, which a parallel fan-out
 //!   would hand to several workers at once.
 //!
 //! The pass finds every call to a spawn point, computes each closure
@@ -31,8 +31,8 @@ use crate::diag::{Diagnostic, Severity};
 pub struct ThreadEscape;
 
 /// Callee names treated as thread-boundary spawn points: the cell
-/// scheduler's fan-out, plus the scoped per-shard workers of the
-/// intra-run engine (`noc::shard::run_sharded`).
+/// scheduler's fan-out, plus the scoped `spawn` it (and any future
+/// fan-out) is built on.
 pub const SPAWN_POINTS: [&str; 2] = ["run_indexed", "spawn"];
 
 /// Type names whose capture across a thread boundary is denied.

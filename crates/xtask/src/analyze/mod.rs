@@ -20,9 +20,8 @@
 //! | `sync-facade`      | deny           | raw `std::sync`/`std::thread` outside the facade |
 //!
 //! The last four run on the expression-level AST (`syn::parse_block`)
-//! and the workspace call graph (`callgraph`) — they gate the upcoming
-//! sharded engine (ROADMAP item 1, DESIGN.md §9 pre-sharding
-//! checklist).
+//! and the workspace call graph (`callgraph`) — they guard the campaign
+//! scheduler's fan-out and the engine's determinism contract.
 //!
 //! Findings flow through the shared diagnostics engine (`crate::diag`):
 //! `// xtask-analyze: allow(<rule>) — <why>` suppressions, the

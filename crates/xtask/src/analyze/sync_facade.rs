@@ -2,10 +2,12 @@
 //!
 //! The model checker (`cargo xtask model-check`) can only permute
 //! interleavings at operations it can see, and it sees exactly the
-//! `dozz_sync` facade: `Mutex`, the atomics, `thread::{scope, spawn,
-//! yield_now}`, `hint::spin_loop`. A raw `std::sync` primitive anywhere
-//! else in the workspace is a synchronization point the checker silently
-//! skips — its harness results would claim coverage they do not have.
+//! `dozz_sync` facade: `Mutex`, the atomics, `thread::{scope, spawn}`.
+//! A raw `std::sync` primitive anywhere else in the workspace is a
+//! synchronization point the checker silently skips — its harness
+//! results would claim coverage they do not have. Spin-waits
+//! (`yield_now`, `spin_loop`) have no facade at all: the model cannot
+//! park a spinner, so they are denied outright.
 //! This pass turns that coverage guarantee into a build gate: outside
 //! `crates/sync` (the facade's own implementation necessarily wraps the
 //! std primitives) every use of
@@ -81,6 +83,12 @@ impl Pass for SyncFacade {
                         _ => None,
                     };
                     if let Some(what) = denied {
+                        let remedy = if member == Some("spin_loop") || member == Some("yield_now") {
+                            "block on a facade `Mutex` or `join` instead (the model cannot \
+                             park a spinner)"
+                        } else {
+                            "use the `dozz_sync` facade"
+                        };
                         out.push(Diagnostic {
                             rule: "sync-facade",
                             severity: Severity::Deny,
@@ -90,9 +98,9 @@ impl Pass for SyncFacade {
                             message: format!(
                                 "`{what}` outside crates/sync — the model checker cannot \
                                  see raw std primitives, so this synchronization point \
-                                 escapes `cargo xtask model-check`; use the `dozz_sync` \
-                                 facade (or `// xtask-analyze: allow(sync-facade) — <why>` \
-                                 with the coverage argument)"
+                                 escapes `cargo xtask model-check`; {remedy} (or \
+                                 `// xtask-analyze: allow(sync-facade) — <why>` with the \
+                                 coverage argument)"
                             ),
                         });
                     }

@@ -7,8 +7,7 @@
 //!   `full` baseline; schema drift is rejected during parsing
 //!   ([`super::schema::BenchMatrix::from_value`]).
 //! - **Coverage cannot shrink.** Every baseline cell must appear in the
-//!   current matrix (same `regime/topology/jobs_label/shards_label`
-//!   key). Extra
+//!   current matrix (same `regime/topology/jobs_label` key). Extra
 //!   current cells are noted, not failed — they become gated once
 //!   baselined.
 //! - **The workload must be identical.** Cells are deterministic
@@ -201,8 +200,6 @@ mod tests {
             topology: "mesh8x8".into(),
             jobs_label: "j1".into(),
             jobs: 1,
-            shards_label: "s1".into(),
-            shards: 1,
             engine_cells: 12,
             wall_ms,
             cpu_s: wall_ms / 1000.0,

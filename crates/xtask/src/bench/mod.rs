@@ -3,12 +3,10 @@
 //!
 //! Runs a matrix of load regimes (light / saturation /
 //! pathological-hotspot, see `dozznoc_bench::regimes`) × topologies
-//! (`mesh8x8`, `cmesh4x4`) × engine configs through the real engine and
-//! writes the measurements to `BENCH_matrix.json` in the frozen,
-//! versioned shape of [`schema::BenchMatrix`]. The engine-config axis
-//! isolates the two parallelism knobs: `j1/s1` (serial), `jN/s1`
-//! (cell-level fan-out across every core) and `j1/sN` (one run split
-//! across [`SHARDS_N`] spatial shards of the sharded intra-run engine).
+//! (`mesh8x8`, `cmesh4x4`) × jobs counts (`j1` = serial, `jN` = every
+//! core) through the real engine and writes the measurements to
+//! `BENCH_matrix.json` in the frozen, versioned shape of
+//! [`schema::BenchMatrix`].
 //!
 //! xtask itself stays near-dependency-free, so the engine work happens
 //! in a subprocess: each cell spawns `target/release/dozz-repro
@@ -41,16 +39,10 @@ pub const BASELINE_REL: &str = "crates/xtask/bench-baseline.json";
 
 /// Version of the one-line JSON contract `dozz-repro bench-cell`
 /// prints. Must match `dozznoc_experiments::bench_cell::BENCH_CELL_SCHEMA`.
-const BENCH_CELL_SCHEMA: u64 = 2;
+const BENCH_CELL_SCHEMA: u64 = 3;
 
 /// The topology axis of the matrix.
 const TOPOLOGIES: [&str; 2] = ["mesh8x8", "cmesh4x4"];
-
-/// Shard count behind the `sN` label: the natural quadrant split of
-/// both paper topologies (8×8 mesh → four 2-row blocks, 4×4 cmesh →
-/// four cluster-column blocks), and the shard count the speedup
-/// acceptance gate in ISSUE 9 / EXPERIMENTS.md is quoted at.
-const SHARDS_N: u64 = 4;
 
 /// The regime axis, in `dozznoc_bench::regimes` order.
 const REGIMES: [&str; 3] = ["light", "saturation", "pathological-hotspot"];
@@ -125,24 +117,10 @@ pub fn run(raw: &[String]) -> ExitCode {
     );
 
     let mut cells = Vec::new();
-    let configs = [
-        ("j1", 1u64, "s1", 1u64),
-        ("jN", env.cores.max(1), "s1", 1),
-        ("j1", 1, "sN", SHARDS_N),
-    ];
     for regime in REGIMES {
         for topo in TOPOLOGIES {
-            for (label, jobs, shards_label, shards) in configs {
-                match run_cell(
-                    &bin,
-                    regime,
-                    topo,
-                    label,
-                    jobs,
-                    shards_label,
-                    shards,
-                    profile,
-                ) {
+            for (label, jobs) in [("j1", 1u64), ("jN", env.cores.max(1))] {
+                match run_cell(&bin, regime, topo, label, jobs, profile) {
                     Ok(cell) => {
                         println!(
                             "  {:<34} wall {:>8.1}ms  {:>12.0} cyc/s  rss {:>5.1} MiB",
@@ -154,7 +132,7 @@ pub fn run(raw: &[String]) -> ExitCode {
                         cells.push(cell);
                     }
                     Err(e) => {
-                        eprintln!("xtask bench: {regime}/{topo}/{label}/{shards_label}: {e}");
+                        eprintln!("xtask bench: {regime}/{topo}/{label}: {e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -232,15 +210,12 @@ fn gate(current: &BenchMatrix, baseline_path: &Path) -> ExitCode {
 }
 
 /// Spawn one `dozz-repro bench-cell` subprocess and parse its report.
-#[allow(clippy::too_many_arguments)] // one flat axis tuple per matrix cell
 fn run_cell(
     bin: &Path,
     regime: &str,
     topo: &str,
     label: &str,
     jobs: u64,
-    shards_label: &str,
-    shards: u64,
     profile: Profile,
 ) -> Result<BenchCell, String> {
     let out = Command::new(bin)
@@ -252,8 +227,6 @@ fn run_cell(
             topo,
             "--jobs",
             &jobs.to_string(),
-            "--shards",
-            &shards.to_string(),
             "--duration-ns",
             &profile.duration_ns.to_string(),
             "--traces",
@@ -302,8 +275,6 @@ fn run_cell(
         topology: topo.to_string(),
         jobs_label: label.to_string(),
         jobs,
-        shards_label: shards_label.to_string(),
-        shards: u("shards")?,
         engine_cells: u("engine_cells")?,
         wall_ms: f("wall_ms")?,
         cpu_s: f("cpu_s")?,

@@ -12,10 +12,10 @@
 use serde_json::{Number, Value};
 
 /// Version of the `BENCH_matrix.json` shape. A baseline with any other
-/// value is rejected by [`BenchMatrix::from_value`]. v2 added the
-/// shard axis (`shards_label`/`shards`: spatial shards inside each
-/// engine run; `s1` = sequential engine).
-pub const BENCH_SCHEMA_VERSION: u64 = 2;
+/// value is rejected by [`BenchMatrix::from_value`]. v3 has the same
+/// cell shape as v1; v2 carried an extra engine-config axis that is
+/// gone, so v2 baselines are refused rather than silently re-keyed.
+pub const BENCH_SCHEMA_VERSION: u64 = 3;
 
 /// Environment fingerprint captured at matrix time. Informational:
 /// the gate compares numbers, humans compare environments.
@@ -43,12 +43,6 @@ pub struct BenchCell {
     pub jobs_label: String,
     /// The concrete worker count behind the label on this machine.
     pub jobs: u64,
-    /// Shard-axis label: `"s1"` (sequential engine) or `"sN"`
-    /// (spatially-sharded engine). Keys the comparison like
-    /// `jobs_label`.
-    pub shards_label: String,
-    /// The concrete spatial shard count behind the label.
-    pub shards: u64,
     /// Engine cells (traces × specs) the measurement covered.
     pub engine_cells: u64,
     /// Wall-clock of the measured engine region, milliseconds.
@@ -78,10 +72,7 @@ pub struct BenchCell {
 impl BenchCell {
     /// Stable identity of the cell inside a matrix.
     pub fn key(&self) -> String {
-        format!(
-            "{}/{}/{}/{}",
-            self.regime, self.topology, self.jobs_label, self.shards_label
-        )
+        format!("{}/{}/{}", self.regime, self.topology, self.jobs_label)
     }
 }
 
@@ -109,8 +100,6 @@ impl BenchMatrix {
                     ("topology".into(), Value::String(c.topology.clone())),
                     ("jobs_label".into(), Value::String(c.jobs_label.clone())),
                     ("jobs".into(), Value::Number(Number::PosInt(c.jobs))),
-                    ("shards_label".into(), Value::String(c.shards_label.clone())),
-                    ("shards".into(), Value::Number(Number::PosInt(c.shards))),
                     (
                         "engine_cells".into(),
                         Value::Number(Number::PosInt(c.engine_cells)),
@@ -202,8 +191,6 @@ impl BenchMatrix {
                     topology: str_field(c, "topology")?,
                     jobs_label: str_field(c, "jobs_label")?,
                     jobs: u64_field(c, "jobs")?,
-                    shards_label: str_field(c, "shards_label")?,
-                    shards: u64_field(c, "shards")?,
                     engine_cells: u64_field(c, "engine_cells")?,
                     wall_ms: f64_field(c, "wall_ms")?,
                     cpu_s: f64_field(c, "cpu_s")?,
@@ -262,8 +249,6 @@ mod tests {
             topology: topo.into(),
             jobs_label: label.into(),
             jobs: 1,
-            shards_label: "s1".into(),
-            shards: 1,
             engine_cells: 12,
             wall_ms,
             cpu_s: wall_ms / 1000.0,
@@ -322,8 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn cell_key_is_regime_topo_jobs_shards() {
+    fn cell_key_is_regime_topo_jobs() {
         let c = sample_cell("light", "mesh8x8", "j1", 1.0);
-        assert_eq!(c.key(), "light/mesh8x8/j1/s1");
+        assert_eq!(c.key(), "light/mesh8x8/j1");
     }
 }

@@ -571,11 +571,11 @@ mod tests {
     fn lint_and_analyze_exemptions_agree() {
         // Exactly two modules may create raw OS threads: the facade's
         // own scope/spawn wrappers and the model-check explorer that
-        // sits below them. The scheduler and the sharded engine lost
-        // their waivers when they migrated onto `dozz_sync` — their
-        // facade-qualified spawns are recognized by the scan itself,
-        // so a raw `std::thread::spawn` creeping back into either
-        // module now FAILS instead of riding the old exemption.
+        // sits below them. The scheduler lost its waiver when it
+        // migrated onto `dozz_sync` — its facade-qualified spawns are
+        // recognized by the scan itself, so a raw `std::thread::spawn`
+        // creeping back into it now FAILS instead of riding the old
+        // exemption.
         let spawn: Vec<_> = exempt_files("thread-spawn").collect();
         assert_eq!(
             spawn,
@@ -585,7 +585,6 @@ mod tests {
             ]
         );
         assert!(!is_exempt("thread-spawn", "crates/core/src/schedule.rs"));
-        assert!(!is_exempt("thread-spawn", "crates/noc/src/shard.rs"));
 
         // The analyze-side coverage gate exempts only the model-check
         // internals that *implement* the instrumentation.
@@ -597,15 +596,14 @@ mod tests {
                 "crates/modelcheck/src/explore.rs"
             ]
         );
-        assert!(!is_exempt("sync-facade", "crates/noc/src/shard.rs"));
+        assert!(!is_exempt("sync-facade", "crates/core/src/cache.rs"));
 
-        // The scheduler keeps its relaxed-ordering waiver; the sharded
-        // engine's barrier must stay Acquire/Release, so it
-        // deliberately has NO atomic-ordering entry and the analyze
-        // pass still patrols it.
+        // Only the scheduler carries a relaxed-ordering waiver; the
+        // cache's counters justify theirs line by line, so the analyze
+        // pass still patrols every other atomic.
         let atomics: Vec<_> = exempt_files("atomic-ordering").collect();
         assert_eq!(atomics, vec!["crates/core/src/schedule.rs"]);
-        assert!(!is_exempt("atomic-ordering", "crates/noc/src/shard.rs"));
+        assert!(!is_exempt("atomic-ordering", "crates/core/src/cache.rs"));
         assert!(!is_exempt("thread-spawn", "crates/noc/src/network.rs"));
     }
 

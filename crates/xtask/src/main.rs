@@ -20,8 +20,8 @@
 //!   consistency for the sealed time types, panic reachability from
 //!   the simulation roots, the `Ordering::Relaxed` audit, `#[must_use]`
 //!   on builders, float comparisons in report code, and the four
-//!   expression-level dataflow passes that gate the sharded engine —
-//!   thread-boundary escape of unsynchronized state, lock/atomic
+//!   expression-level dataflow passes — thread-boundary escape of
+//!   unsynchronized state, lock/atomic
 //!   discipline, determinism taint reachable from the engine roots,
 //!   and interprocedural tick/cycle unit flow. Findings are
 //!   filtered through justified suppressions and the checked-in
@@ -37,10 +37,11 @@
 //! - **`model-check [--harness NAME] [--replay NAME:TRACE] [--out PATH]
 //!   [--skip-tests]`** — the dynamic half. Rebuilds the workspace under
 //!   `--cfg dozz_model` (the `dozz_sync` facades swap to the
-//!   instrumented runtime), proves the checker still detects the two
-//!   seeded defects (modelcheck's test suite), then explores every
-//!   registered harness to exhaustion within its bounded budget and
-//!   writes the frozen `MODEL_CHECK.json` report. Non-zero exit on any
+//!   instrumented runtime), proves the checker still detects the
+//!   seeded torn tmp-file defect (modelcheck's test suite), then
+//!   explores every registered harness to exhaustion within its
+//!   bounded budget and writes the frozen `MODEL_CHECK.json` report.
+//!   Non-zero exit on any
 //!   finding, on non-exhaustion, or on a missed seeded defect.
 
 use std::path::Path;
@@ -264,7 +265,7 @@ fn model_check(args: &[String]) -> ExitCode {
         if !ok {
             eprintln!(
                 "xtask model-check: detection proof FAILED — the checker no longer \
-                 finds the seeded defects (or a harness regressed)"
+                 finds the seeded defect (or a harness regressed)"
             );
             return ExitCode::FAILURE;
         }

@@ -1,7 +1,7 @@
 //! Fixture tests for the `cargo xtask bench --compare` regression gate.
 //!
 //! The fixtures under `tests/fixtures/bench/` are hand-written matrix
-//! files in the frozen v2 schema. `current.json` plays the run under
+//! files in the frozen v3 schema. `current.json` plays the run under
 //! test; each `baseline-*.json` exercises one gate policy:
 //!
 //! - `baseline-slow.json` — baseline a few ms slower than current:
@@ -35,7 +35,7 @@ fn matrix(name: &str) -> BenchMatrix {
 fn fixtures_speak_the_current_schema() {
     // If BENCH_SCHEMA_VERSION is ever bumped, the fixtures (and the
     // committed baseline) must be regenerated in the same commit.
-    assert_eq!(BENCH_SCHEMA_VERSION, 2);
+    assert_eq!(BENCH_SCHEMA_VERSION, 3);
     for name in [
         "current.json",
         "baseline-slow.json",
@@ -112,12 +112,12 @@ fn committed_baseline_parses_and_covers_the_matrix() {
         .expect("committed bench-baseline.json exists");
     let m = BenchMatrix::from_json(&text).expect("committed baseline parses");
     assert_eq!(m.profile, "quick");
-    // 3 regimes × 2 topologies × {j1/s1, jN/s1, j1/sN}.
-    assert_eq!(m.cells.len(), 18, "matrix shape drifted");
+    // 3 regimes × 2 topologies × {j1, jN}.
+    assert_eq!(m.cells.len(), 12, "matrix shape drifted");
     for regime in ["light", "saturation", "pathological-hotspot"] {
         for topo in ["mesh8x8", "cmesh4x4"] {
-            for config in ["j1/s1", "jN/s1", "j1/sN"] {
-                let key = format!("{regime}/{topo}/{config}");
+            for label in ["j1", "jN"] {
+                let key = format!("{regime}/{topo}/{label}");
                 assert!(
                     m.cells.iter().any(|c| c.key() == key),
                     "baseline missing {key}"

@@ -9,7 +9,7 @@ pub fn run_indexed<T>(_jobs: NonZeroUsize, _count: usize, _task: impl Fn(usize) 
     Vec::new()
 }
 
-pub fn shard_with_refcell(jobs: NonZeroUsize) -> u64 {
+pub fn fan_out_with_refcell(jobs: NonZeroUsize) -> u64 {
     let scratch = RefCell::new(0u64);
     let results = run_indexed(jobs, 8, |i| {
         *scratch.borrow_mut() += i as u64;
@@ -18,7 +18,7 @@ pub fn shard_with_refcell(jobs: NonZeroUsize) -> u64 {
     results.iter().sum::<u64>() + *scratch.borrow()
 }
 
-pub fn shard_with_mut_ref(jobs: NonZeroUsize, acc: &mut Vec<u64>) -> usize {
+pub fn fan_out_with_mut_ref(jobs: NonZeroUsize, acc: &mut Vec<u64>) -> usize {
     let slots = run_indexed(jobs, 4, |i| acc.len() + i);
     slots.len()
 }

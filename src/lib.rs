@@ -59,15 +59,15 @@ pub mod prelude {
         TrainedModel,
     };
     pub use dozznoc_noc::{
-        run_sharded, AlwaysMode, DecisionTrace, EpochObservation, EpochSample, InvariantViolation,
-        JsonlSink, Network, NocConfig, NullSink, PowerPolicy, RunReport, SanitizerConfig,
-        SanitizerReport, SimSanitizer, Telemetry, TimelineSink, ViolationKind,
+        AlwaysMode, DecisionTrace, EpochObservation, EpochSample, InvariantViolation, JsonlSink,
+        Network, NocConfig, NullSink, PowerPolicy, RunReport, SanitizerConfig, SanitizerReport,
+        SimSanitizer, Telemetry, TimelineSink, ViolationKind,
     };
     pub use dozznoc_power::{
         DsentCosts, EnergyDelta, EnergyLedger, EnergyReport, MlOverhead, SimoRegulator,
         SwitchDelayTable, VfTable,
     };
-    pub use dozznoc_topology::{Direction, Port, ShardPlan, Topology, XyRouter};
+    pub use dozznoc_topology::{Direction, Port, Topology, XyRouter};
     pub use dozznoc_traffic::{
         Benchmark, Trace, TraceGenerator, ALL_BENCHMARKS, TEST_BENCHMARKS, TRAIN_BENCHMARKS,
         VALIDATION_BENCHMARKS,

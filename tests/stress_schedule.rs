@@ -1,6 +1,6 @@
-//! Seeded multi-thread stress of the sharding substrate: several OS
-//! threads hammer `core::schedule::run_indexed` and one shared
-//! `RunCache` concurrently, then the test asserts the invariants the
+//! Seeded multi-thread stress of the campaign engine's shared state:
+//! several OS threads hammer `core::schedule::run_indexed` and one
+//! shared `RunCache` concurrently, then the test asserts the invariants the
 //! dataflow passes guard statically — every slot filled exactly once
 //! with its own index's result, and the atomic stats counters conserve
 //! (`hits + misses == lookups`, `stores == successful puts`).
